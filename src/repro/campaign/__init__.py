@@ -25,9 +25,9 @@ and :mod:`repro.campaign.adaptive` re-expands cells whose verdicts
 disagree across seeds with fresh seeds.
 
 And campaigns **shard across machines**: :mod:`repro.campaign.shard` adds a
-collector service (``repro-cc collect``) that hands out job ranges over the
-NDJSON socket protocol, collects acked rows from many shard processes
-(``repro-cc campaign --collector``), re-dispatches a dead shard's range via
+collector service (``repro-cc collect``) that grants job batches to pulling
+shard processes (``repro-cc campaign --collector``) over the NDJSON socket
+protocol, collects their acked rows, re-dispatches a dead shard's leases via
 the resume machinery, and merges everything into one campaign file that is
 byte-identical to a local ``--jobs 1`` run.
 
@@ -42,15 +42,16 @@ reparsing.
 And every frontend drives **one layered pipeline**:
 :mod:`repro.campaign.driver` decomposes campaign orchestration into
 composable stages — :class:`~repro.campaign.driver.CampaignPlan` (matrix
-expansion + resume reconciliation + cache probe), an
-:class:`~repro.campaign.driver.Executor`
-(:class:`~repro.campaign.driver.SerialExecutor` /
-:class:`~repro.campaign.driver.PoolExecutor` /
-:class:`~repro.campaign.driver.ShardExecutor`), a
+expansion + resume reconciliation + cache probe), one
+:func:`~repro.campaign.driver.dispatch`
+(:class:`~repro.campaign.driver.SerialExecutor` or
+:class:`~repro.campaign.driver.PoolExecutor`; the collector-fed
+:class:`~repro.campaign.driver.ShardExecutor` dispatches each grant
+through it), a
 :class:`~repro.campaign.driver.RowCollector` fan-out and a
 :class:`~repro.campaign.driver.Finalizer` — composed by
-:class:`~repro.campaign.driver.CampaignDriver` for the CLI, the shard
-client and the future always-on service alike.
+:class:`~repro.campaign.driver.CampaignDriver` for ``run_campaign``, the
+CLI, the shard client and the future always-on service alike.
 
 Layers: ``matrix`` (the declarative spec and its expansion), ``jobs`` (the
 picklable run job + the spawn-safe worker entry point), ``driver`` (the
@@ -73,6 +74,8 @@ from repro.campaign.driver import (
     RowCollector,
     SerialExecutor,
     ShardExecutor,
+    dispatch,
+    shard_slice,
 )
 from repro.campaign.jobs import JobResult, RunJob, error_result, execute_job
 from repro.campaign.matrix import CampaignSpec, FaultSchedule, expand_jobs
@@ -86,7 +89,7 @@ from repro.campaign.resume import (
     validate_row_matches_job,
     validate_rows_match_jobs,
 )
-from repro.campaign.runner import CampaignResult, run_campaign, shard_slice
+from repro.campaign.runner import CampaignResult, run_campaign
 from repro.campaign.shard import (
     CONTROL_SCHEMAS,
     Collector,
@@ -160,6 +163,7 @@ __all__ = [
     "as_job_result",
     "control_message",
     "disagreement_cells",
+    "dispatch",
     "error_result",
     "execute_job",
     "execute_job_group",

@@ -5,16 +5,18 @@ shard client feeding a ``collect`` service, a notebook, the future
 always-on verification service — drives the same four stages:
 
 * :class:`CampaignPlan` — matrix expansion, resume reconciliation (prior
-  rows split into in-matrix and re-run-appendix parts), static shard
-  selection and the :class:`~repro.campaign.store.RunCache` probe.  Its
+  rows split into in-matrix and re-run-appendix parts), offline shard
+  slice selection and the :class:`~repro.campaign.store.RunCache` probe.  Its
   outputs are ``cached_results`` (hits, in job order) and ``todo`` (what
   actually needs executing).
-* an :class:`Executor` — :class:`SerialExecutor` (owns the batched
-  same-cell grouping), :class:`PoolExecutor` (a ``multiprocessing`` drain
-  with a chosen start method) or :class:`ShardExecutor` (the acking
-  collector-client protocol).  Executors know nothing about sinks or
-  caches; they push every finished :class:`~repro.campaign.jobs.JobResult`
-  into a collector.
+* :func:`dispatch` — drains a plan's cache hits, then runs its ``todo``
+  through :class:`SerialExecutor` (owns the batched same-cell grouping)
+  for one worker or at most one job, and through :class:`PoolExecutor` (a
+  ``multiprocessing`` drain with a chosen start method) otherwise.
+  :class:`ShardExecutor` (the acking collector-client protocol) pulls
+  grants from a collector service and dispatches each one the same way.
+  Executors know nothing about sinks or caches; they push every finished
+  :class:`~repro.campaign.jobs.JobResult` into a collector.
 * a :class:`RowCollector` — the single fan-out point: each completed row
   goes to the cache, the result list, the live
   :class:`~repro.campaign.store.ColumnStore` aggregate, the crash-safety
@@ -24,10 +26,11 @@ always-on verification service — drives the same four stages:
   :class:`CampaignOutcome`.
 
 :class:`CampaignDriver` composes the stages into the full CLI semantics
-(resume + cache + sinks + static shards + collector mode +
+(resume + cache + sinks + offline shard slices + collector mode +
 ``--rerun-disagreements``), with ``info``/``warn`` callbacks instead of
-hardwired printing, so ``cli._cmd_campaign`` is a flag-parsing adapter and
-a service can run the identical pipeline programmatically.
+hardwired printing, so ``cli._cmd_campaign`` is a flag-parsing adapter,
+:func:`~repro.campaign.runner.run_campaign` is one driver call, and a
+service can run the identical pipeline programmatically.
 
 The byte-identity contract is unchanged: rows are pure functions of their
 jobs, the collector preserves completion-order streaming for sinks, and
@@ -69,12 +72,12 @@ from repro.campaign.store import ColumnStore, RunCache
 def shard_slice(jobs: Sequence[RunJob], index: int, count: int) -> List[RunJob]:
     """The ``index``-th of ``count`` contiguous, near-equal job ranges.
 
-    The static sharding rule for multi-machine campaigns: every shard
-    expands the same matrix and selects its own range locally, so nothing
-    but ``index``/``count`` needs to travel.  Ranges partition the job list
-    exactly (sizes differ by at most one, earlier shards get the longer
-    ranges), so N shards' ranges merged by job index reproduce the full
-    campaign.  ``index`` is 0-based.
+    The offline sharding rule (``repro-cc campaign --shard I/N``, no
+    collector): every machine expands the same matrix and selects its own
+    range locally, so nothing but ``index``/``count`` needs to travel.
+    Ranges partition the job list exactly (sizes differ by at most one,
+    earlier shards get the longer ranges), so N slices' rows merged later
+    by job index reproduce the full campaign.  ``index`` is 0-based.
     """
     if count < 1:
         raise ValueError("shard count must be >= 1")
@@ -278,19 +281,45 @@ class PoolExecutor:
         return workers
 
 
+def dispatch(
+    plan: CampaignPlan,
+    collector: RowCollector,
+    jobs: int = 1,
+    mp_context: str = "spawn",
+) -> int:
+    """Drain ``plan`` into ``collector``: cache hits first, then its ``todo``.
+
+    The one serial-or-pool decision: :class:`SerialExecutor` when ``jobs``
+    is 1 or at most one job is left (a pool would only add start-up), a
+    :class:`PoolExecutor` of ``jobs`` workers otherwise.  Hits drain in job
+    order before any execution, so a sink sees them first.  Returns the
+    number of workers used.
+    """
+    for hit in plan.cached_results:
+        collector.add_cached(hit)
+    if jobs == 1 or len(plan.todo) <= 1:
+        return SerialExecutor().run(plan.todo, collector)
+    return PoolExecutor(jobs, mp_context=mp_context).run(plan.todo, collector)
+
+
 class ShardExecutor:
     """Collector-client dispatch: this machine's share of a shared matrix.
 
-    Wraps the acking NDJSON protocol from :mod:`repro.campaign.shard`:
-    static mode announces its :func:`shard_slice` range in the hello and
-    runs it; pull mode asks the collector for job-index batches until it
-    says ``done``.  Every row travels through a reconnecting
+    Wraps the acking NDJSON protocol from :mod:`repro.campaign.shard`: the
+    shard asks the collector for ``batch`` job indices at a time (default
+    ``max(workers,`` :data:`~repro.campaign.shard.DEFAULT_PULL_BATCH` ``)``)
+    until it says ``done``.  Every row travels through a reconnecting
     :class:`~repro.campaign.sinks.AckingSocketSink` teed in front of
     whatever sink the collector already carries; each granted batch goes
     through its own :class:`CampaignPlan` (so a
     :class:`~repro.campaign.store.RunCache` short-circuits per grant,
-    never emitting rows for jobs this shard was not granted) and then the
-    serial or pool executor.
+    never emitting rows for jobs this shard was not granted) and then
+    :func:`dispatch`.
+
+    ``prior_rows`` (a shard-local ``--resume``) are uploaded before the
+    first pull, so the collector adopts them and never grants their jobs;
+    with ``retry_errors`` the error rows among them stay behind, so their
+    jobs are granted and re-run like any other pending job.
 
     Raises :class:`ConnectionError` when the collector stays unreachable
     past the reconnect budget and
@@ -303,7 +332,6 @@ class ShardExecutor:
         self,
         address: str,
         jobs: Sequence[RunJob],
-        shard: Optional[Tuple[int, int]] = None,
         name: Optional[str] = None,
         workers: int = 1,
         mp_context: str = "spawn",
@@ -318,22 +346,22 @@ class ShardExecutor:
         self.prior = [
             row
             for row in prior_rows
-            if isinstance(row.get("job"), int) and row["job"] in self.by_index
+            if isinstance(row.get("job"), int)
+            and row["job"] in self.by_index
+            and not (retry_errors and row.get("status") == "error")
         ]
-        self.shard = shard
         self.name = name
         self.workers = workers
         self.mp_context = mp_context
         self.batch = batch
         self.retries = retries
-        self.retry_errors = retry_errors
         self.jobs_run: List[RunJob] = []
         self.elapsed = 0.0
 
     def run(self, todo: Sequence[RunJob], collector: RowCollector) -> int:
         # ``todo`` is advisory here: the collector service owns dispatch
-        # (it leases the static range or grants pull batches), so what this
-        # shard runs is decided on the wire, not by the local plan.
+        # (it grants pull batches), so what this shard runs is decided on
+        # the wire, not by the local plan.
         from repro.campaign.shard import (
             DEFAULT_PULL_BATCH,
             control_message,
@@ -341,23 +369,9 @@ class ShardExecutor:
         )
         from repro.campaign.sinks import AckingSocketSink, ShardProtocolError, TeeSink
 
-        local: Optional[List[RunJob]] = None
-        job_range: Optional[Tuple[int, int]] = None
-        name = self.name
-        if self.shard is not None:
-            index, count = self.shard
-            local = shard_slice(self.jobs, index, count)
-            # The announced range covers the *unfiltered* slice: resumed
-            # rows are uploaded below, so the collector still leases the
-            # whole range to this shard and adopts the prior rows into it.
-            job_range = (local[0].index, local[-1].index + 1) if local else (0, 0)
-            if self.prior:
-                local = remaining_jobs(local, self.prior, retry_errors=self.retry_errors)
-            if name is None:
-                name = f"{index + 1}/{count}"
         client = AckingSocketSink(
             self.address,
-            hello=hello_message(self.jobs, shard=name, job_range=job_range),
+            hello=hello_message(self.jobs, shard=self.name),
             retries=self.retries,
         )
         # The acking client fronts whatever sink the collector already has
@@ -365,60 +379,42 @@ class ShardExecutor:
         # the collector outlives this executor unchanged.
         outer = collector.sink
         collector.sink = client if outer is None else TeeSink([client, outer])
+        limit = self.batch if self.batch is not None else max(self.workers, DEFAULT_PULL_BATCH)
         workers_used = 1
         try:
             for row in self.prior:
                 client.write_row(row)
-            if local is not None:
-                workers_used = max(workers_used, self._dispatch(local, collector))
-            else:
-                limit = (
-                    self.batch
-                    if self.batch is not None
-                    else max(self.workers, DEFAULT_PULL_BATCH)
-                )
-                while True:
-                    grant = client.request(control_message("pull", max=limit))
-                    if grant.get("op") != "grant":
-                        raise ShardProtocolError(
-                            f"collector at {self.address} answered a pull with {grant!r}"
-                        )
-                    try:
-                        granted = [
-                            self.by_index[index] for index in grant.get("jobs") or ()
-                        ]
-                    except (KeyError, TypeError) as exc:
-                        raise ShardProtocolError(
-                            f"collector at {self.address} granted unknown jobs: "
-                            f"{grant.get('jobs')!r}"
-                        ) from exc
-                    if granted:
-                        workers_used = max(
-                            workers_used, self._dispatch(granted, collector)
-                        )
-                    elif grant.get("done"):
-                        break
-                    # An empty, not-done grant means the collector briefly
-                    # had nothing unleased; its lease() blocks server-side,
-                    # so this is rare — just ask again.
+            while True:
+                grant = client.request(control_message("pull", max=limit))
+                if grant.get("op") != "grant":
+                    raise ShardProtocolError(
+                        f"collector at {self.address} answered a pull with {grant!r}"
+                    )
+                try:
+                    granted = [self.by_index[index] for index in grant.get("jobs") or ()]
+                except (KeyError, TypeError) as exc:
+                    raise ShardProtocolError(
+                        f"collector at {self.address} granted unknown jobs: "
+                        f"{grant.get('jobs')!r}"
+                    ) from exc
+                if granted:
+                    workers_used = max(workers_used, self._run_grant(granted, collector))
+                elif grant.get("done"):
+                    break
+                # An empty, not-done grant means the collector briefly had
+                # nothing unleased; its lease() blocks server-side, so this
+                # is rare — just ask again.
         finally:
             collector.sink = outer
             client.close()
         return workers_used
 
-    def _dispatch(self, granted: List[RunJob], collector: RowCollector) -> int:
-        """One granted batch through plan → cache drain → serial/pool."""
+    def _run_grant(self, granted: List[RunJob], collector: RowCollector) -> int:
+        """One granted batch through its own plan (cache probe) and :func:`dispatch`."""
         start = time.perf_counter()  # repro-lint: disable=RL102 -- shard wall time is summary-only, never in rows
         plan = CampaignPlan(granted, cache=collector.cache)
-        for hit in plan.cached_results:
-            collector.add_cached(hit)
         self.jobs_run.extend(granted)
-        if self.workers == 1 or len(plan.todo) <= 1:
-            workers = SerialExecutor().run(plan.todo, collector)
-        else:
-            workers = PoolExecutor(self.workers, mp_context=self.mp_context).run(
-                plan.todo, collector
-            )
+        workers = dispatch(plan, collector, self.workers, self.mp_context)
         self.elapsed += time.perf_counter() - start  # repro-lint: disable=RL102 -- summary-only
         return workers
 
@@ -514,22 +510,27 @@ class CampaignDriver:
     """Plan → dispatch → collect → finalize with the full CLI semantics.
 
     The one object every frontend builds: ``cli._cmd_campaign`` maps flags
-    onto the constructor and exit codes off the outcome, a shard client is
-    ``collector="tcp:..."``, and the future service layer calls
-    :meth:`execute` per submission and serves aggregates from
-    ``result.store``.  ``info``/``warn`` (both optional) receive the
-    stdout/stderr lines the CLI historically printed, each prefixed with
-    ``prefix + ": "``.
+    onto the constructor and exit codes off the outcome,
+    :func:`~repro.campaign.runner.run_campaign` is ``execute()`` with the
+    defaults, a collector-fed shard is ``collector="tcp:..."``, and the
+    future service layer calls :meth:`execute` per submission and serves
+    aggregates from ``result.store``.  ``info``/``warn`` (both optional)
+    receive the stdout/stderr lines the CLI historically printed, each
+    prefixed with ``"campaign: "``.
 
     Error handling is deliberately transparent:
     :class:`~repro.campaign.resume.ResumeError`, :class:`ConnectionError`,
     :class:`~repro.campaign.sinks.ShardProtocolError` and
     ``KeyboardInterrupt`` propagate for the frontend to map onto its own
     exit codes (2/4/4/130 in the CLI).  The ``sink``'s lifecycle belongs
-    to the caller.  ``rerun_disagreements`` cannot be combined with
-    ``collector`` (re-run jobs fall outside the matrix the shards agreed
-    on); frontends are expected to reject that combination up front.
+    to the caller.  ``collector`` combines with neither ``shard`` (the
+    collector grants a collector-fed shard its work by pull; ``shard`` is
+    for offline slices merged later) nor ``rerun_disagreements`` (re-run
+    jobs fall outside the matrix the shards agreed on): both raise
+    :class:`ValueError`.
     """
+
+    PREFIX = "campaign"
 
     def __init__(
         self,
@@ -544,17 +545,23 @@ class CampaignDriver:
         rerun_disagreements: bool = False,
         shard: Optional[Tuple[int, int]] = None,
         collector: Optional[str] = None,
-        shard_name: Optional[str] = None,
-        batch: Optional[int] = None,
-        retries: int = 3,
         progress: Optional[Callable[[JobResult, int, int], None]] = None,
         out: Optional[str] = None,
-        prefix: str = "campaign",
         info: Optional[Callable[[str], None]] = None,
         warn: Optional[Callable[[str], None]] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if collector is not None and shard is not None:
+            raise ValueError(
+                "shard cannot be combined with collector: a collector-fed "
+                "shard pulls its jobs from the collector"
+            )
+        if collector is not None and rerun_disagreements:
+            raise ValueError(
+                "rerun_disagreements cannot be combined with collector: "
+                "re-run jobs fall outside the matrix the shards agreed on"
+            )
         self.spec_or_jobs = spec_or_jobs
         self.jobs = jobs
         self.mp_context = mp_context
@@ -566,42 +573,33 @@ class CampaignDriver:
         self.rerun_disagreements = rerun_disagreements
         self.shard = shard
         self.collector = collector
-        self.shard_name = shard_name
-        self.batch = batch
-        self.retries = retries
         self.progress = progress
         self.out = out
-        self.prefix = prefix
         self.info = info
         self.warn = warn
         self.result = None
 
     def _info(self, message: str) -> None:
         if self.info is not None:
-            self.info(f"{self.prefix}: {message}")
+            self.info(f"{self.PREFIX}: {message}")
 
     def _warn(self, message: str) -> None:
         if self.warn is not None:
-            self.warn(f"{self.prefix}: {message}")
-
-    def _dispatch(self, todo: Sequence[RunJob], collector: RowCollector) -> int:
-        if self.jobs == 1 or len(todo) <= 1:
-            return SerialExecutor().run(todo, collector)
-        return PoolExecutor(self.jobs, mp_context=self.mp_context).run(todo, collector)
+            self.warn(f"{self.PREFIX}: {message}")
 
     def execute(self):
         """Run the campaign; returns (and keeps) the ``CampaignResult``."""
         from repro.campaign.runner import CampaignResult
 
         start = time.perf_counter()  # repro-lint: disable=RL102 -- campaign wall time is --timing-only, never in rows
-        # Collector mode leaves shard selection and cache probing to the
-        # service protocol (ShardExecutor plans per granted batch); local
-        # mode plans everything up front.
+        # Collector mode leaves cache probing to the service protocol
+        # (ShardExecutor plans per granted batch); local mode plans
+        # everything up front.
         plan = CampaignPlan(
             self.spec_or_jobs,
             prior_rows=self.prior_rows,
             retry_errors=self.retry_errors,
-            shard=None if self.collector else self.shard,
+            shard=self.shard,
             cache=None if self.collector else self.cache,
         )
         jobs_all = list(plan.jobs)
@@ -621,12 +619,8 @@ class CampaignDriver:
             executor = ShardExecutor(
                 self.collector,
                 plan.jobs,
-                shard=self.shard,
-                name=self.shard_name,
                 workers=self.jobs,
                 mp_context=self.mp_context,
-                batch=self.batch,
-                retries=self.retries,
                 prior_rows=plan.prior_rows,
                 retry_errors=self.retry_errors,
             )
@@ -639,9 +633,7 @@ class CampaignDriver:
                     f"{plan.selected[0].index}..{plan.selected[-1].index} "
                     f"of {len(plan.jobs)}"
                 )
-            for hit in plan.cached_results:
-                collector.add_cached(hit)
-            workers = self._dispatch(plan.todo, collector)
+            workers = dispatch(plan, collector, self.jobs, self.mp_context)
         executed = list(collector.results)
         merged = merge_results(plan.prior_rows, executed)
         if self.rerun_disagreements:
@@ -671,9 +663,7 @@ class CampaignDriver:
                 )
                 if extra_todo:
                     extra_plan = CampaignPlan(extra_todo, cache=self.cache)
-                    for hit in extra_plan.cached_results:
-                        collector.add_cached(hit)
-                    self._dispatch(extra_plan.todo, collector)
+                    dispatch(extra_plan, collector, self.jobs, self.mp_context)
                     executed = list(collector.results)
                     merged = merge_results(plan.base_prior + valid_extra, executed)
         elif plan.extra_prior:
@@ -687,10 +677,11 @@ class CampaignDriver:
                 "--rerun-disagreements); pass --rerun-disagreements to "
                 "validate them against regenerated re-run jobs"
             )
-        # Resumed rows that were kept (not re-executed) join the live
-        # aggregate so the summary covers the merged whole.
-        collected = {result.index for result in collector.results}
-        collector.absorb_prior(r for r in merged if r.index not in collected)
+        if plan.prior_rows:
+            # Resumed rows that were kept (not re-executed) join the live
+            # aggregate so the summary covers the merged whole.
+            collected = {result.index for result in collector.results}
+            collector.absorb_prior(r for r in merged if r.index not in collected)
         self.result = CampaignResult(
             jobs=jobs_all,
             results=merged,
@@ -708,7 +699,7 @@ class CampaignDriver:
             out=self.out,
             include_timing=self.timing,
             info=self.info,
-            prefix=self.prefix,
+            prefix=self.PREFIX,
         )
         return finalizer.finalize(self.result, cache=self.cache)
 

@@ -85,6 +85,10 @@ class JobResult:
     steps: int
     elapsed_seconds: float
     ok: bool
+    #: False for a row lifted back from disk (cache hit, resumed or
+    #: collected row): its steps were not executed — nor timed — in this
+    #: campaign, so throughput figures leave it out.
+    executed: bool = True
 
     @property
     def steps_per_sec(self) -> float:

@@ -198,6 +198,7 @@ def as_job_result(row: Dict[str, object]) -> JobResult:
         steps=steps,
         elapsed_seconds=elapsed,
         ok=bool(row.get("ok", False)),
+        executed=False,
     )
 
 

@@ -1,16 +1,14 @@
-"""``run_campaign``: the classic one-call frontend over the layered driver.
+"""``run_campaign``: the classic one-call frontend, one driver call.
 
 :func:`run_campaign` expands a :class:`~repro.campaign.matrix.CampaignSpec`
 (or takes pre-expanded jobs), executes every job — serially for ``jobs=1``,
 across a ``multiprocessing`` pool otherwise — and returns a
 :class:`CampaignResult` with per-run rows in job-index order, per-cell
-summary rows and the campaign wall-clock.  Since the driver decomposition
-it is a thin composition of the stages in :mod:`repro.campaign.driver`
-(:class:`~repro.campaign.driver.CampaignPlan` →
-:class:`~repro.campaign.driver.SerialExecutor` /
-:class:`~repro.campaign.driver.PoolExecutor` →
-:class:`~repro.campaign.driver.RowCollector`); the CLI, the shard client
-and the service layer compose the same stages with more context.
+summary rows and the campaign wall-clock.  It is one
+:meth:`CampaignDriver(...).execute() <repro.campaign.driver.CampaignDriver.execute>`
+call with the defaults (no resume, no shard, no collector): the CLI, the
+shard client and the service layer drive the same pipeline with more
+context, so there is one plan → dispatch → collect path to trust.
 
 Determinism contract: each row is a pure function of its
 :class:`~repro.campaign.jobs.RunJob`, results are re-sorted by job index
@@ -37,23 +35,16 @@ per-worker interpreter start-up dominates very small campaigns (exposed as
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.campaign.driver import (
-    CampaignPlan,
-    PoolExecutor,
-    RowCollector,
-    SerialExecutor,
-    shard_slice,
-)
+from repro.campaign.driver import CampaignDriver
 from repro.campaign.jobs import JobResult, RunJob
-from repro.campaign.matrix import CampaignSpec, expand_jobs
+from repro.campaign.matrix import CampaignSpec
 from repro.campaign.sinks import RowSink, row_line, write_lines_atomic
 from repro.campaign.store import ColumnStore, RunCache
 
-__all__ = ["CampaignResult", "run_campaign", "shard_slice"]
+__all__ = ["CampaignResult", "run_campaign"]
 
 
 @dataclass
@@ -97,10 +88,13 @@ class CampaignResult:
     def steps_per_sec(self) -> float:
         """Campaign-level throughput: executed steps per wall-clock second.
 
-        0.0 (not inf) when no wall-clock was recorded — ``Infinity`` is not
-        valid JSON and poisons the summary table.
+        Only rows executed in this campaign count: cache hits and resumed
+        rows carry steps but no time here, so counting them would inflate
+        the figure.  0.0 (not inf) when no wall-clock was recorded —
+        ``Infinity`` is not valid JSON and poisons the summary table.
         """
-        return self.total_steps / self.elapsed_seconds if self.elapsed_seconds > 0 else 0.0
+        steps = sum(result.steps for result in self.results if result.executed)
+        return steps / self.elapsed_seconds if self.elapsed_seconds > 0 else 0.0
 
     def jsonl_lines(self, include_timing: bool = False) -> List[str]:
         """One sorted-key JSON object per run.
@@ -152,26 +146,31 @@ class CampaignResult:
     def summary_rows(self) -> List[Dict[str, object]]:
         """One row per (scenario, algorithm) cell plus a totals row.
 
-        Reports run/violation counts, aggregate throughput (cell steps over
-        the cell's summed per-run wall time — the workers' view, independent
-        of how many ran concurrently) and the fairness spread (Jain index
-        range across the cell's runs).  Cell counts/steps/Jain come from the
+        Reports run/violation counts, aggregate throughput and the fairness
+        spread (Jain index range across the cell's runs).  Cell
+        counts/steps/Jain come from the
         :class:`~repro.campaign.store.ColumnStore` the collect stage
         accumulated during the drain (the same aggregates ``repro-cc
-        stats`` serves); per-run wall time is not in the rows, so throughput
-        is joined in from the results here.
+        stats`` serves) and cover every row.  Throughput covers only the
+        rows executed in this campaign (see :attr:`JobResult.executed
+        <repro.campaign.jobs.JobResult.executed>`): a cell's executed steps
+        over their summed per-run wall time (the workers' view, independent
+        of how many ran concurrently), and for the totals row
+        :attr:`steps_per_sec`; ``-`` where nothing was executed.
         """
         # Cell identity comes from the row itself (identity fields are
         # present on every row, error and resumed rows included), so
         # merged results need not align index-for-index with ``jobs``.
-        elapsed_by_cell: Dict[tuple, float] = {}
+        executed_by_cell: Dict[tuple, List[float]] = {}
         for result in self.results:
-            key = (result.row["scenario"], result.row["algorithm"])
-            elapsed_by_cell[key] = elapsed_by_cell.get(key, 0.0) + result.elapsed_seconds
+            if result.executed:
+                key = (result.row["scenario"], result.row["algorithm"])
+                cell = executed_by_cell.setdefault(key, [0, 0.0])
+                cell[0] += result.steps
+                cell[1] += result.elapsed_seconds
         rows: List[Dict[str, object]] = []
         for cell in self._cell_stats():
-            elapsed = elapsed_by_cell.get((cell["scenario"], cell["algorithm"]), 0.0)
-            steps = cell["steps"]
+            steps, elapsed = executed_by_cell.get((cell["scenario"], cell["algorithm"]), (0, 0.0))
             # Error rows carry no metrics; the Jain spread covers the
             # completed runs only (a fully errored cell renders "-").
             rows.append(
@@ -181,7 +180,7 @@ class CampaignResult:
                     "runs": cell["runs"],
                     "violations": cell["violations"],
                     "errors": cell["errors"],
-                    "steps": steps,
+                    "steps": cell["steps"],
                     "steps/s": round(steps / elapsed, 1) if elapsed > 0 else "-",
                     "jain min..max": (
                         f"{cell['jain_min']:.3f}..{cell['jain_max']:.3f}"
@@ -199,7 +198,9 @@ class CampaignResult:
                 "errors": self.errors,
                 "steps": self.total_steps,
                 "steps/s": (
-                    round(self.steps_per_sec, 1) if self.elapsed_seconds > 0 else "-"
+                    round(self.steps_per_sec, 1)
+                    if executed_by_cell and self.elapsed_seconds > 0
+                    else "-"
                 ),
                 "jain min..max": f"wall {self.elapsed_seconds:.2f}s x{self.workers}",
             }
@@ -245,31 +246,12 @@ def run_campaign(
     Hits drain first, in job order, so a sink sees them before any
     executed row.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if isinstance(spec_or_jobs, CampaignSpec):
-        job_list = expand_jobs(spec_or_jobs)
-    else:
-        job_list = list(spec_or_jobs)
-    start = time.perf_counter()  # repro-lint: disable=RL102 -- campaign wall time is --timing-only, never in rows
-    plan = CampaignPlan(job_list, cache=cache)
-    collector = RowCollector(
+    return CampaignDriver(
+        spec_or_jobs,
+        jobs=jobs,
+        mp_context=mp_context,
         sink=sink,
-        sink_timing=sink_timing,
+        timing=sink_timing,
         cache=cache,
         progress=progress,
-        total=len(plan.jobs),
-    )
-    for hit in plan.cached_results:
-        collector.add_cached(hit)
-    if jobs == 1 or len(plan.todo) <= 1:
-        workers = SerialExecutor().run(plan.todo, collector)
-    else:
-        workers = PoolExecutor(jobs, mp_context=mp_context).run(plan.todo, collector)
-    return CampaignResult(
-        jobs=plan.jobs,
-        results=collector.finish(),
-        workers=workers,
-        elapsed_seconds=time.perf_counter() - start,  # repro-lint: disable=RL102 -- --timing-only
-        store=collector.store,
-    )
+    ).execute()

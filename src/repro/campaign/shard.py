@@ -23,17 +23,19 @@ Wire protocol (NDJSON, one JSON object per line, both directions):
 * row -> ``ack``: a shard treats a row as delivered only once its ack
   arrives; re-sending after a lost ack may duplicate a row, which is safe
   because rows are deterministic and the collector keeps the latest copy,
-* ``pull`` -> ``grant``: pull-mode shards ask for the next batch of job
-  indices; a ``grant`` with ``done=true`` ends the shard.
+* ``pull`` -> ``grant``: a shard asks for the next batch of job indices;
+  a ``grant`` with ``done=true`` ends the shard.
 
-Dispatch and failure: a static shard (``--shard I/N``) declares its
-:func:`~repro.campaign.runner.shard_slice` range in the hello and the
-collector leases it; a pull shard leases batches on demand.  When a shard's
-connection drops, its leases are released and the undelivered indices are
-recomputed with the *resume* machinery
+Dispatch and failure: pull is the only way the collector hands out work —
+each grant leases the lowest pending, unleased job indices to the pulling
+shard.  When a shard's connection drops, its leases are released and the
+undelivered indices are recomputed with the *resume* machinery
 (:func:`~repro.campaign.resume.remaining_jobs` over the collected rows) —
 dead-shard recovery is literally "resume, over the network", no second
-bookkeeping scheme to trust.
+bookkeeping scheme to trust.  Static slices (``repro-cc campaign --shard
+I/N`` without ``--collector``, see
+:func:`~repro.campaign.driver.shard_slice`) run offline and are merged
+later; they never talk to a collector.
 """
 
 from __future__ import annotations
@@ -58,13 +60,13 @@ from repro.campaign.sinks import (
 )
 
 #: op -> the exact key set of that control message.  Every key is always
-#: present (``hello``'s ``range`` is ``null`` for a pull shard rather than
-#: absent), so conformance is an equality check, not a subset dance;
+#: present (``hello``'s ``shard`` is ``null`` for an unnamed shard rather
+#: than absent), so conformance is an equality check, not a subset dance;
 #: :func:`control_message` enforces it on build and :func:`validate_control`
 #: on receipt, and ``tools/check_repo.py`` asserts the registry itself stays
 #: consistent with what the collector and client actually exchange.
 CONTROL_SCHEMAS: Dict[str, Tuple[str, ...]] = {
-    "hello": ("op", "shard", "jobs", "fingerprint", "range"),
+    "hello": ("op", "shard", "jobs", "fingerprint"),
     "welcome": ("op", "jobs", "pending"),
     "reject": ("op", "error"),
     "pull": ("op", "max"),
@@ -72,7 +74,7 @@ CONTROL_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     "ack": ("op", "job"),
 }
 
-#: Default number of jobs a pull-mode shard requests per ``pull``.
+#: Default number of jobs a shard requests per ``pull``.
 DEFAULT_PULL_BATCH = 4
 
 
@@ -113,24 +115,15 @@ def matrix_fingerprint(jobs: Sequence[RunJob]) -> str:
     return digest.hexdigest()
 
 
-def hello_message(
-    jobs: Sequence[RunJob],
-    shard: Optional[str] = None,
-    job_range: Optional[Tuple[int, int]] = None,
-) -> Dict[str, object]:
+def hello_message(jobs: Sequence[RunJob], shard: Optional[str] = None) -> Dict[str, object]:
     """The handshake a shard opens every (re)connect with.
 
-    ``job_range`` is the half-open ``[low, high)`` static range this shard
-    will run (``None`` for a pull shard).  Replaying the hello on reconnect
-    is idempotent: the collector re-leases whatever of the range is still
-    undelivered.
+    Replaying the hello on reconnect is idempotent: it only re-registers
+    the shard, which then pulls again; whatever the dropped connection had
+    leased was released for re-dispatch.
     """
     return control_message(
-        "hello",
-        shard=shard,
-        jobs=len(jobs),
-        fingerprint=matrix_fingerprint(jobs),
-        range=list(job_range) if job_range is not None else None,
+        "hello", shard=shard, jobs=len(jobs), fingerprint=matrix_fingerprint(jobs)
     )
 
 
@@ -144,7 +137,6 @@ class ShardRecord:
     """
 
     name: str
-    static: bool
     delivered: int = field(default=0)
 
 
@@ -233,21 +225,12 @@ class CollectorState:
                     return granted, False
                 self._cond.wait(timeout=0.5)
 
-    def lease_range(self, shard: ShardRecord, low: int, high: int) -> List[int]:
-        """Lease the still-pending, unleased indices of a static ``[low, high)``."""
-        with self._cond:
-            granted = [
-                index for index in self._unleased_pending() if low <= index < high
-            ]
-            self._leases[shard].update(granted)
-            return granted
-
     def deliver(self, shard: ShardRecord, row: Dict[str, object]) -> int:
         """Validate and store one row from ``shard``; returns its job index.
 
         Raises :class:`ShardProtocolError` for rows outside the matrix and
         :class:`~repro.campaign.resume.ResumeError` for identity mismatches.
-        Duplicates (re-sent after a lost ack, or a re-dispatched range racing
+        Duplicates (re-sent after a lost ack, or a re-dispatched lease racing
         its not-quite-dead original shard) overwrite — rows are deterministic,
         so the latest copy is the same copy.
         """
@@ -445,18 +428,6 @@ class Collector:
                 "not the collector's (same scenarios/axes/seeds/steps on "
                 "every participant?)"
             )
-        job_range = hello["range"]
-        if job_range is not None:
-            if (
-                not isinstance(job_range, list)
-                or len(job_range) != 2
-                or not all(isinstance(edge, int) for edge in job_range)
-                or not 0 <= job_range[0] <= job_range[1] <= len(self.state.jobs)
-            ):
-                return (
-                    f"bad static range {job_range!r}: expected [low, high] "
-                    f"with 0 <= low <= high <= {len(self.state.jobs)}"
-                )
         return None
 
     def _serve(self, conn: socket.socket) -> None:
@@ -478,13 +449,9 @@ class Collector:
                 self._send(conn, control_message("reject", error=error))
                 return
             shard = ShardRecord(
-                name=str(hello["shard"] or f"shard-{len(self.state.shards) + 1}"),
-                static=hello["range"] is not None,
+                name=str(hello["shard"] or f"shard-{len(self.state.shards) + 1}")
             )
             self.state.register(shard)
-            if hello["range"] is not None:
-                low, high = hello["range"]
-                self.state.lease_range(shard, low, high)
             self._send(
                 conn,
                 control_message(
@@ -552,7 +519,6 @@ class Collector:
 def run_shard(
     address: str,
     jobs: Sequence[RunJob],
-    shard: Optional[Tuple[int, int]] = None,
     name: Optional[str] = None,
     workers: int = 1,
     batch: Optional[int] = None,
@@ -567,15 +533,13 @@ def run_shard(
     """Run this machine's share of a collector-fed campaign.
 
     ``jobs`` is the *full* expanded matrix (every participant expands it
-    identically; the handshake enforces that).  ``shard=(index, count)``
-    (0-based) selects static mode: this process announces its
-    :func:`~repro.campaign.driver.shard_slice` range and runs it.  Without
-    ``shard`` the process is a pull worker: it asks the collector for
-    ``batch`` job indices at a time (default ``max(workers,``
+    identically; the handshake enforces that).  The process pulls ``batch``
+    job indices at a time from the collector (default ``max(workers,``
     :data:`DEFAULT_PULL_BATCH` ``)``) until the collector says ``done``.
 
     ``prior_rows`` (a shard-local ``--resume``) are uploaded first — the
-    collector adopts them and the static remainder shrinks accordingly.
+    collector adopts them and never grants their jobs (with
+    ``retry_errors``, error rows stay behind and their jobs re-run).
     Every row travels through an acking, reconnecting
     :class:`~repro.campaign.sinks.AckingSocketSink`; ``extra_sink``
     additionally receives each row locally (e.g. the shard's own ``--out``
@@ -587,15 +551,13 @@ def run_shard(
     granted batch, so cached rows short-circuit execution on this shard
     and still travel acked to the collector like any executed row.
 
-    Since the driver decomposition this is a thin composition of the
-    shared stages: a :class:`~repro.campaign.driver.ShardExecutor` (which
-    owns the protocol loop above) draining into a
-    :class:`~repro.campaign.driver.RowCollector`.
+    A thin composition of the shared stages: a
+    :class:`~repro.campaign.driver.ShardExecutor` (which owns the pull
+    loop) draining into a :class:`~repro.campaign.driver.RowCollector`.
     """
     executor = ShardExecutor(
         address,
         jobs,
-        shard=shard,
         name=name,
         workers=workers,
         mp_context=mp_context,

@@ -18,18 +18,18 @@ common operations:
   at the end, byte-identical for any ``--jobs``.  ``--resume`` continues an
   interrupted ``--out`` file, ``--rerun-disagreements`` re-expands cells
   whose verdicts differ across seeds, ``--stream`` mirrors rows to a
-  TCP/Unix socket, ``--collector`` (optionally with ``--shard I/N``) turns
-  the process into one shard of a multi-machine campaign feeding a
-  ``collect`` service.  Exit codes: 1 a checked property was violated, 2
+  TCP/Unix socket, ``--collector`` turns the process into one shard of a
+  multi-machine campaign pulling its jobs from a ``collect`` service, and
+  ``--shard I/N`` (without ``--collector``) runs one offline slice for a
+  later merge.  Exit codes: 1 a checked property was violated, 2
   malformed matrix, 3 a worker raised (error rows present), 4 the
   collector was lost or rejected this shard,
 * ``collect``  -- the merge point of a sharded campaign: listen on a
-  TCP/Unix socket, lease job ranges to connecting shards (static
-  ``--shard`` ranges and pull-based batches over the same protocol),
-  validate and ack every row against the identically expanded matrix, and
-  write the merged JSONL in job order — byte-identical to running the
-  matrix locally with ``--jobs 1``.  A dead shard's undelivered range is
-  re-dispatched to the surviving shards through the resume machinery,
+  TCP/Unix socket, grant job batches to shards as they pull, validate and
+  ack every row against the identically expanded matrix, and write the
+  merged JSONL in job order — byte-identical to running the matrix locally
+  with ``--jobs 1``.  A dead shard's undelivered leases are re-dispatched
+  to the surviving shards through the resume machinery,
 * ``stats``    -- columnar aggregates over an existing campaign rows file
   (per-cell run/violation/error counts, step totals, Jain spread) served
   from an array-backed column store instead of reparsing JSONL per query,
@@ -48,7 +48,7 @@ Examples::
         --jobs 4 --out rows.jsonl
     repro-cc collect --listen tcp:0.0.0.0:7777 --out merged.jsonl \\
         --scenario figure1 --seeds 8                  # on the head node
-    repro-cc campaign --collector tcp:head:7777 --shard 1/3 \\
+    repro-cc campaign --collector tcp:head:7777 \\
         --scenario figure1 --seeds 8 --jobs 4         # on each worker node
 """
 
@@ -286,10 +286,17 @@ def _parse_shard(text: str):
 
 def _check_campaign_flags(args: argparse.Namespace, shard_spec) -> None:
     """Reject flag combinations the pipeline cannot honor (CLI exit 2)."""
-    if shard_spec is not None and not args.collector and not args.out:
+    if shard_spec is not None and args.collector:
         raise ValueError(
-            "--shard without --collector needs --out (somewhere to "
-            "keep the slice's rows for a later merge)"
+            "--shard cannot be combined with --collector: collector shards "
+            "pull their jobs from the collector, so drop --shard (use "
+            "--shard I/N with --out, without --collector, for an offline "
+            "slice merged later)"
+        )
+    if shard_spec is not None and not args.out:
+        raise ValueError(
+            "--shard needs --out (somewhere to keep the slice's rows for a "
+            "later merge)"
         )
     if args.collector and args.rerun_disagreements:
         raise ValueError(
@@ -747,17 +754,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard",
         default=None,
         metavar="I/N",
-        help="run only the I-th of N contiguous job ranges (1-based); with "
-        "--collector the range is announced and acked, without it --out "
-        "keeps the slice for a later merge",
+        help="run only the I-th of N contiguous job ranges (1-based) and "
+        "keep the slice in --out for a later merge; not combinable with "
+        "--collector (collector shards pull their jobs)",
     )
     campaign.add_argument(
         "--collector",
         default=None,
         metavar="ADDRESS",
-        help="deliver rows (acked, reconnecting) to a `repro-cc collect` "
-        "service at 'tcp:HOST:PORT' or 'unix:PATH'; without --shard, pull "
-        "job batches from it until the campaign is done",
+        help="pull job batches from a `repro-cc collect` service at "
+        "'tcp:HOST:PORT' or 'unix:PATH' until the campaign is done, "
+        "delivering each row to it (acked, reconnecting)",
     )
     campaign.add_argument(
         "--cache",
@@ -782,8 +789,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     collect = sub.add_parser(
         "collect",
-        help="collector service for sharded campaigns: lease job ranges to "
-        "shards, validate and merge their rows byte-identically",
+        help="collector service for sharded campaigns: grant job batches "
+        "to pulling shards, validate and merge their rows byte-identically",
     )
     collect.add_argument(
         "--listen",

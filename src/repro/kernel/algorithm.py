@@ -247,11 +247,6 @@ class DistributedAlgorithm(abc.ABC):
                 enabled[pid] = action
         return enabled
 
-    def variable_names(self) -> Tuple[str, ...]:
-        """Names of the variables of the first process (assumed uniform)."""
-        first = self.process_ids()[0]
-        return tuple(sorted(self.initial_state(first)))
-
     # ------------------------------------------------------------------ #
     # dirty-set protocol (incremental scheduler engine)
     # ------------------------------------------------------------------ #

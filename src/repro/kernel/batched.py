@@ -141,9 +141,6 @@ class BatchedConfiguration:
         self.dirty = np.ones((runs, len(self.var_index)), dtype=bool)
         self.env = env
 
-    def mark_dirty(self, lane: int, variable: str) -> None:
-        self.dirty[lane, self.var_index[variable]] = True
-
     def mark_lane_dirty(self, lane: int) -> None:
         self.dirty[lane, :] = True
 

@@ -228,10 +228,3 @@ class Trace:
     def variable_series(self, pid: ProcessId, variable: str) -> List[Any]:
         """The successive values of one variable (dense traces only)."""
         return [cfg.get(pid, variable) for cfg in self._configurations]
-
-    def step_of_round(self, round_index: int) -> Optional[int]:
-        """Index of the first step belonging to ``round_index`` (None if absent)."""
-        for step in self._steps:
-            if step.round_index == round_index:
-                return step.index
-        return None

@@ -36,10 +36,6 @@ class FairConcurrencyResult:
         """Observed minimum never falls below the Theorem 4 lower bound."""
         return self.observed_min >= self.theorem4_bound
 
-    @property
-    def respects_theorem7(self) -> bool:
-        return self.observed_min >= self.theorem7_bound
-
     def as_row(self) -> dict:
         return {
             "observed_min": self.observed_min,

@@ -4,7 +4,7 @@ The pipeline is plan → dispatch → collect → finalize; each stage is tested
 in isolation here, then the differential sweep asserts the one property the
 decomposition must never cost: the aggregate JSONL rows are **byte-identical**
 across every frontend combination — worker counts × start methods × resume ×
-cache × static shards × the batched engine.
+cache × offline shard slices × collector pull shards × the batched engine.
 
 The service-facing contract is pinned too: `CampaignDriver` round-trips a
 campaign programmatically (no argparse anywhere), and `cli._cmd_campaign`
@@ -34,6 +34,7 @@ from repro.campaign import (
     RowCollector,
     RunCache,
     SerialExecutor,
+    dispatch,
     expand_jobs,
     run_campaign,
     run_shard,
@@ -130,6 +131,35 @@ class TestExecutors:
             PoolExecutor(0)
         # An empty todo never builds a pool.
         assert PoolExecutor(8).run([], RowCollector()) == 1
+
+
+class TestDispatch:
+    def test_serial_for_one_worker_or_one_job(self, matrix, monkeypatch):
+        jobs, _, lines = matrix
+
+        def no_pool(*_args, **_kwargs):  # pragma: no cover - tripwire
+            raise AssertionError("dispatch built a pool")
+
+        monkeypatch.setattr(PoolExecutor, "run", no_pool)
+        collector = RowCollector()
+        assert dispatch(CampaignPlan(jobs), collector, jobs=1) == 1
+        assert [row_line(r.row) for r in collector.finish()] == lines
+        # A single pending job never pays for a pool, whatever ``jobs`` says.
+        collector = RowCollector()
+        assert dispatch(CampaignPlan(jobs[:1]), collector, jobs=4) == 1
+        assert [row_line(r.row) for r in collector.finish()] == lines[:1]
+
+    def test_pool_otherwise_and_hits_drain_first(self, matrix, tmp_path):
+        jobs, baseline, lines = matrix
+        cache = RunCache(str(tmp_path / "cache"))
+        cache.store(baseline.results[2])
+        sink = BufferedSink()
+        collector = RowCollector(sink=sink)
+        plan = CampaignPlan(jobs, cache=cache)
+        assert dispatch(plan, collector, jobs=2, mp_context="fork") == 2
+        assert row_line(sink.rows[0]) == lines[2]  # the hit streams first
+        assert [row_line(r.row) for r in collector.finish()] == lines
+        assert [r.index for r in collector.results if not r.executed] == [2]
 
 
 class TestRowCollector:
@@ -262,6 +292,13 @@ class TestCampaignDriverService:
         assert sorted(ran) == [1, 2]
         assert result.jsonl_lines() == lines
 
+    def test_collector_combinations_are_rejected(self, matrix):
+        jobs, _, _ = matrix
+        with pytest.raises(ValueError, match="pulls its jobs"):
+            CampaignDriver(jobs, shard=(0, 2), collector="tcp:127.0.0.1:1")
+        with pytest.raises(ValueError, match="rerun_disagreements"):
+            CampaignDriver(jobs, rerun_disagreements=True, collector="tcp:127.0.0.1:1")
+
 
 def test_cmd_campaign_is_a_thin_adapter():
     """The CLI command maps flags onto the driver — nothing else.
@@ -311,15 +348,17 @@ class TestDifferentialByteIdentity:
                 threading.Thread(
                     target=run_shard,
                     args=(collector.address, jobs),
-                    kwargs=dict(shard=(i, 2)),
+                    kwargs=dict(batch=1),
                 )
-                for i in range(2)
+                for _ in range(2)
             ]
             for thread in threads:
                 thread.start()
-            rows = collector.run(timeout=60)
+            # Shards return only after the collector granted them ``done``.
             for thread in threads:
-                thread.join(timeout=10)
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            rows = collector.run(timeout=60)
         assert [row_line(row) for row in rows] == lines
 
     @pytest.mark.skipif(

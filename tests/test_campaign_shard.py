@@ -3,7 +3,7 @@
 The acceptance property of the whole subsystem lives at the bottom
 (``TestShardedCampaignEndToEnd``): an in-process collector fed by three
 real ``repro-cc campaign --collector`` shard *processes*, one of which is
-SIGKILLed mid-range so its undelivered jobs are re-dispatched to the
+SIGKILLed mid-grant so its undelivered jobs are re-dispatched to the
 survivors, produces a merged campaign byte-identical to the same matrix
 run locally with ``--jobs 1``.  Everything above it exercises the parts in
 isolation: the NDJSON control-message schemas, the matrix-fingerprint
@@ -35,6 +35,7 @@ from repro.campaign import (
     ShardProtocolError,
     ShardRecord,
     control_message,
+    error_result,
     execute_job,
     expand_jobs,
     hello_message,
@@ -69,7 +70,7 @@ def small_matrix():
 
 class TestControlProtocol:
     _SAMPLES = {
-        "hello": dict(shard="2/3", jobs=4, fingerprint="ab" * 32, range=[2, 4]),
+        "hello": dict(shard="2/3", jobs=4, fingerprint="ab" * 32),
         "welcome": dict(jobs=4, pending=3),
         "reject": dict(error="matrix fingerprint mismatch"),
         "pull": dict(max=4),
@@ -101,14 +102,23 @@ class TestControlProtocol:
         assert matrix_fingerprint(jobs) != matrix_fingerprint(_jobs(max_steps=61))
         assert matrix_fingerprint(jobs) != matrix_fingerprint(list(reversed(jobs)))
 
-    def test_hello_message_carries_range_or_null(self):
+    def test_hello_message_pins_the_matrix_only(self):
         jobs = _jobs()
-        static = hello_message(jobs, shard="1/2", job_range=(0, 2))
-        assert static["range"] == [0, 2] and static["jobs"] == len(jobs)
-        pull = hello_message(jobs)
-        assert pull["range"] is None
-        validate_control(static)
-        validate_control(pull)
+        named = hello_message(jobs, shard="puller-1")
+        assert named == {
+            "op": "hello",
+            "shard": "puller-1",
+            "jobs": len(jobs),
+            "fingerprint": matrix_fingerprint(jobs),
+        }
+        anonymous = hello_message(jobs)
+        assert anonymous["shard"] is None
+        validate_control(named)
+        validate_control(anonymous)
+        # A hello carries no job range: pull is the only way the collector
+        # hands out work.
+        with pytest.raises(ShardProtocolError, match="malformed 'hello'"):
+            validate_control({**named, "range": [0, 2]})
 
 
 class TestShardSlice:
@@ -133,11 +143,11 @@ class TestCollectorState:
     def test_lease_deliver_and_done(self, small_matrix):
         jobs, rows, _ = small_matrix
         state = CollectorState(jobs)
-        shard = ShardRecord(name="a", static=True)
+        shard = ShardRecord(name="a")
         state.register(shard)
-        assert state.lease_range(shard, 0, 2) == [0, 1]
+        assert state.lease(shard, limit=2) == ([0, 1], False)
         # Leased indices are not handed to anyone else.
-        other = ShardRecord(name="b", static=False)
+        other = ShardRecord(name="b")
         state.register(other)
         granted, done = state.lease(other, limit=10)
         assert granted == [2, 3] and not done
@@ -151,7 +161,7 @@ class TestCollectorState:
     def test_deliver_rejects_foreign_and_out_of_matrix_rows(self, small_matrix):
         jobs, rows, _ = small_matrix
         state = CollectorState(jobs)
-        shard = ShardRecord(name="a", static=False)
+        shard = ShardRecord(name="a")
         state.register(shard)
         with pytest.raises(ShardProtocolError, match="outside the 4-job matrix"):
             state.deliver(shard, {**rows[0], "job": 99})
@@ -167,11 +177,11 @@ class TestCollectorState:
     def test_release_returns_leases_for_redispatch(self, small_matrix):
         jobs, rows, _ = small_matrix
         state = CollectorState(jobs)
-        dead = ShardRecord(name="dead", static=True)
+        dead = ShardRecord(name="dead")
         state.register(dead)
-        state.lease_range(dead, 0, len(jobs))
+        assert state.lease(dead, limit=len(jobs)) == ([0, 1, 2, 3], False)
         state.deliver(dead, rows[0])
-        rescuer = ShardRecord(name="rescue", static=False)
+        rescuer = ShardRecord(name="rescue")
         state.register(rescuer)
         # Everything undelivered is leased to the dead shard: a rescuer
         # blocks until the dead shard's connection handler releases them.
@@ -188,43 +198,35 @@ class TestCollectorState:
 
 
 class TestCollectorService:
-    def test_static_shards_merge_byte_identical(self, small_matrix):
+    @pytest.mark.parametrize("family", ["tcp", "unix"])
+    def test_pull_shards_merge_byte_identical(self, small_matrix, tmp_path, family):
         jobs, _, baseline = small_matrix
-        with Collector(jobs, "tcp:127.0.0.1:0") as collector:
+        listen = (
+            "tcp:127.0.0.1:0" if family == "tcp" else f"unix:{tmp_path / 'collector.sock'}"
+        )
+        with Collector(jobs, listen) as collector:
             threads = [
                 threading.Thread(
                     target=run_shard,
                     args=(collector.address, jobs),
-                    kwargs=dict(shard=(i, 2)),
-                )
-                for i in range(2)
-            ]
-            for thread in threads:
-                thread.start()
-            rows = collector.run(timeout=60)
-            for thread in threads:
-                thread.join(timeout=10)
-        assert [row_line(row) for row in rows] == baseline
-        assert len(collector.state.shards) == 2
-
-    def test_pull_shards_merge_byte_identical(self, small_matrix, tmp_path):
-        jobs, _, baseline = small_matrix
-        address = f"unix:{tmp_path / 'collector.sock'}"
-        with Collector(jobs, address) as collector:
-            threads = [
-                threading.Thread(
-                    target=run_shard,
-                    args=(address, jobs),
                     kwargs=dict(batch=1, name=f"puller-{i}"),
                 )
                 for i in range(2)
             ]
             for thread in threads:
                 thread.start()
-            rows = collector.run(timeout=60)
+            # A shard only returns once the collector granted it ``done``,
+            # so joining first lets a late shard still connect and finish
+            # before run() closes the listener.
             for thread in threads:
-                thread.join(timeout=10)
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            rows = collector.run(timeout=60)
         assert [row_line(row) for row in rows] == baseline
+        assert sorted(shard.name for shard in collector.state.shards) == [
+            "puller-0",
+            "puller-1",
+        ]
 
     def test_mismatched_matrix_is_rejected(self, small_matrix):
         jobs, _, _ = small_matrix
@@ -240,14 +242,18 @@ class TestCollectorService:
         jobs, rows, baseline = small_matrix
         path = str(tmp_path / "collector.sock")
         with Collector(jobs, f"unix:{path}") as collector:
-            # A scripted victim claims the whole matrix, delivers exactly one
+            # A scripted victim pulls the whole matrix, delivers exactly one
             # row, then dies without closing cleanly.
             victim = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             victim.connect(path)
             reader = victim.makefile("r", encoding="utf-8")
-            hello = hello_message(jobs, shard="victim", job_range=(0, len(jobs)))
+            hello = hello_message(jobs, shard="victim")
             victim.sendall((row_line(hello) + "\n").encode("utf-8"))
             assert json.loads(reader.readline())["op"] == "welcome"
+            pull = control_message("pull", max=len(jobs))
+            victim.sendall((row_line(pull) + "\n").encode("utf-8"))
+            grant = json.loads(reader.readline())
+            assert grant == {"op": "grant", "jobs": [0, 1, 2, 3], "done": False}
             victim.sendall((row_line(rows[0]) + "\n").encode("utf-8"))
             ack = json.loads(reader.readline())
             assert ack == {"op": "ack", "job": 0}
@@ -258,8 +264,8 @@ class TestCollectorService:
             victim.close()
 
             # The rescuer's pulls block until the victim's handler notices
-            # the dead connection and releases its leases — then the whole
-            # undelivered range is re-dispatched here.
+            # the dead connection and releases its leases — then every
+            # undelivered job of the victim's grant is re-dispatched here.
             result = run_shard(f"unix:{path}", jobs, name="rescue")
             assert [job.index for job in result.jobs] == [1, 2, 3]
             assert collector.state.wait_done(timeout=10)
@@ -268,6 +274,22 @@ class TestCollectorService:
         names = [shard.name for shard in collector.state.shards]
         assert names == ["victim", "rescue"]
         assert collector.state.shards[0].delivered == 1
+
+    @pytest.mark.parametrize("retry_errors", [False, True])
+    def test_shard_uploads_its_resume_rows(self, small_matrix, tmp_path, retry_errors):
+        jobs, rows, baseline = small_matrix
+        failed = error_result(jobs[2], RuntimeError("induced")).row
+        address = f"unix:{tmp_path / 'collector.sock'}"
+        with Collector(jobs, address) as collector:
+            result = run_shard(
+                address, jobs, prior_rows=[rows[0], failed], retry_errors=retry_errors
+            )
+            merged = collector.run(timeout=60)
+        # Uploaded rows are adopted and never granted back; with
+        # retry_errors the error row stays behind, so its job re-runs.
+        assert [job.index for job in result.jobs] == ([1, 2, 3] if retry_errors else [1, 3])
+        expected = list(baseline) if retry_errors else baseline[:2] + [row_line(failed)] + baseline[3:]
+        assert [row_line(row) for row in merged] == expected
 
     def test_prior_rows_shrink_the_campaign(self, small_matrix, tmp_path):
         jobs, rows, baseline = small_matrix
@@ -329,7 +351,7 @@ class TestAckingClient:
 
         thread = threading.Thread(target=serve)
         thread.start()
-        hello = {"op": "hello", "shard": "s", "jobs": 1, "fingerprint": "f", "range": None}
+        hello = {"op": "hello", "shard": "s", "jobs": 1, "fingerprint": "f"}
         sink = AckingSocketSink(f"unix:{path}", hello=hello, retry_delay=0.01)
         sink.write_row({"job": 7, "ok": True})
         sink.close()
@@ -343,10 +365,11 @@ class TestShardedCampaignEndToEnd:
     """The PR's acceptance property, at the process level.
 
     Three real ``repro-cc campaign --collector`` shard processes feed one
-    collector: a static shard owning jobs 0-1, and two pull workers.  The
-    static shard is SIGKILLed after its first row lands, its undelivered
-    range is released and re-dispatched to the pull workers, and the merged
-    artifact is byte-identical to the same matrix run with ``--jobs 1``.
+    collector.  The first pulls alone and is granted jobs 0-3 (the default
+    pull batch); it is SIGKILLed after its first row lands, its undelivered
+    leases are released and re-dispatched to the two later shards, and the
+    merged artifact is byte-identical to the same matrix run with
+    ``--jobs 1``.
     """
 
     _MATRIX_FLAGS = [
@@ -381,29 +404,16 @@ class TestShardedCampaignEndToEnd:
 
         with Collector(jobs, address) as collector:
             victim = subprocess.Popen(
-                self._shard_command(address, ["--shard", "1/3"]),
+                self._shard_command(address),
                 cwd=str(tmp_path), env=env,
                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             )
-            # Let the victim register (and lease jobs 0-1) before the pull
-            # workers connect, so the kill below tears down a shard that
-            # really owns an undelivered range.
-            deadline = time.monotonic() + 60
-            while not collector.state.shards:
-                assert time.monotonic() < deadline, "victim never registered"
-                assert victim.poll() is None, "victim exited prematurely"
-                time.sleep(0.002)
-            pullers = [
-                subprocess.Popen(
-                    self._shard_command(address),
-                    cwd=str(tmp_path), env=env,
-                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                )
-                for _ in range(2)
-            ]
+            pullers = []
             try:
-                # The victim owns jobs 0-1 (shard 1/3 of 6).  Kill it the
-                # moment its first row lands — mid-range, before job 1.
+                # The victim pulls alone, so its first grant is jobs 0-3.
+                # Kill it the moment its first row lands — mid-grant,
+                # before job 1 — and only then start the other shards, so
+                # every job it leaves behind is one it really leased.
                 deadline = time.monotonic() + 60
                 while 0 not in collector.state.rows:
                     assert time.monotonic() < deadline, "victim never delivered"
@@ -411,8 +421,16 @@ class TestShardedCampaignEndToEnd:
                     time.sleep(0.002)
                 victim.kill()
                 victim.wait(timeout=30)
-                missing = [i for i in (0, 1) if i not in collector.state.rows]
-                assert missing, "victim finished its whole range before the kill"
+                missing = [i for i in (1, 2, 3) if i not in collector.state.rows]
+                assert missing, "victim finished its whole grant before the kill"
+                pullers = [
+                    subprocess.Popen(
+                        self._shard_command(address),
+                        cwd=str(tmp_path), env=env,
+                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                    )
+                    for _ in range(2)
+                ]
 
                 # The survivors sweep the re-dispatched range to completion.
                 assert collector.state.wait_done(timeout=120)
@@ -430,7 +448,6 @@ class TestShardedCampaignEndToEnd:
         # All three shard processes registered; the dead one's undelivered
         # jobs were re-dispatched over the same socket, no operator step.
         assert len(collector.state.shards) == 3
-        assert collector.state.shards[0].static
         assert collector.state.shards[0].delivered == 1  # killed after row 0
         # Duplicates (re-sent after a lost ack) are protocol-legal, so the
         # total is a floor, not an exact count.

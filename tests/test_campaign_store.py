@@ -225,6 +225,39 @@ class TestRunCache:
         assert cached.jsonl_lines() == baseline.jsonl_lines()
         assert cache.hits == len(jobs)
 
+    def test_summary_throughput_counts_executed_rows_only(self, tmp_path):
+        """Cache hits carry steps but no time: they must not inflate steps/s."""
+        jobs = expand_jobs(SPEC)
+        cache = RunCache(str(tmp_path / "cache"))
+        run_campaign(jobs, jobs=1, cache=cache)
+        cached = run_campaign(jobs, jobs=1, cache=cache)
+        summary = cached.summary_rows()
+        assert all(row["steps/s"] == "-" for row in summary)
+        # The step and run counts still cover every row.
+        assert summary[-1]["steps"] == cached.total_steps > 0
+        assert summary[-1]["runs"] == len(jobs)
+        assert cached.steps_per_sec == 0.0
+
+        # Half warm (the first two cells cached): cached cells report no
+        # throughput, executed cells exactly their steps over their time.
+        half = RunCache(str(tmp_path / "half"))
+        run_campaign(jobs[:4], jobs=1, cache=half)
+        mixed = run_campaign(jobs, jobs=1, cache=half)
+        executed = [result for result in mixed.results if result.executed]
+        assert [result.index for result in executed] == [4, 5, 6, 7]
+        cells = mixed.summary_rows()
+        assert [row["steps/s"] for row in cells[:2]] == ["-", "-"]
+        for row in cells[2:4]:
+            same = [
+                r for r in executed
+                if (r.row["scenario"], r.row["algorithm"]) == (row["scenario"], row["algorithm"])
+            ]
+            assert len(same) == 2
+            seconds = sum(r.elapsed_seconds for r in same)
+            assert row["steps/s"] == round(sum(r.steps for r in same) / seconds, 1)
+        total = sum(r.steps for r in executed) / mixed.elapsed_seconds
+        assert cells[-1]["steps/s"] == round(total, 1)
+
 
 class TestCacheEndToEnd:
     ARGV = ["campaign", "--scenario", "figure1", "--scenario", "grid-3x3",
@@ -293,19 +326,23 @@ class TestCacheEndToEnd:
         cache = RunCache(str(tmp_path / "cache"))
         run_campaign(jobs[:4], jobs=1, cache=cache)
         with Collector(jobs, "tcp:127.0.0.1:0") as collector:
+            # One-job grants: every cell's 2-seed sweep is cut across
+            # grant boundaries, and each grant probes its shard's cache.
             threads = [
                 threading.Thread(
                     target=run_shard,
                     args=(collector.address, jobs),
-                    kwargs=dict(shard=(i, 5), cache=RunCache(str(tmp_path / "cache"))),
+                    kwargs=dict(batch=1, cache=RunCache(str(tmp_path / "cache"))),
                 )
-                for i in range(5)
+                for _ in range(5)
             ]
             for thread in threads:
                 thread.start()
-            rows = collector.run(timeout=60)
+            # Shards return only after the collector granted them ``done``.
             for thread in threads:
-                thread.join(timeout=10)
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            rows = collector.run(timeout=60)
         assert [row_line(row) for row in rows] == baseline
         assert len(collector.state.shards) == 5
 

@@ -209,6 +209,18 @@ class TestCampaignCrashSafety:
         assert main(["campaign", "--scenario", "figure1", "--resume"]) == 2
         assert "--resume requires --out" in capsys.readouterr().err
 
+    def test_collector_rejects_shard_and_rerun_flags(self, capsys, tmp_path):
+        # Collector shards pull their work; a static slice or adaptive
+        # re-run jobs cannot take part.  Both are refused before any
+        # connection is attempted (nothing listens at this address).
+        address = f"unix:{tmp_path / 'absent.sock'}"
+        argv = ["campaign", "--scenario", "figure1", "--collector", address]
+        out = ["--out", str(tmp_path / "rows.jsonl")]
+        assert main(argv + ["--shard", "1/2"] + out) == 2
+        assert "pull" in capsys.readouterr().err
+        assert main(argv + ["--rerun-disagreements"]) == 2
+        assert "--rerun-disagreements cannot be combined" in capsys.readouterr().err
+
     def test_resume_rejects_a_foreign_file(self, capsys, tmp_path):
         out = tmp_path / "rows.jsonl"
         assert main(["campaign", "--scenario", "star-5", "--steps", "50",
@@ -380,23 +392,26 @@ class TestBatchedCampaignEndToEnd:
             row_line(result.output_row())
             for result in run_campaign(jobs, jobs=1).results
         ]
-        # Five static shards over 12 jobs: every cell's 6-seed sweep is
-        # split across shard boundaries, so the merged rows prove a batch
-        # can be cut anywhere without perturbing a lane.
+        # Five pull shards over 12 jobs in grants of 5: the grant
+        # boundaries (jobs 5 and 10) split both cells' 6-seed sweeps
+        # (jobs 0-5 and 6-11), so the merged rows prove a batch can be cut
+        # anywhere without perturbing a lane.
         with Collector(jobs, "tcp:127.0.0.1:0") as collector:
             threads = [
                 threading.Thread(
                     target=run_shard,
                     args=(collector.address, jobs),
-                    kwargs=dict(shard=(i, 5)),
+                    kwargs=dict(batch=5),
                 )
-                for i in range(5)
+                for _ in range(5)
             ]
             for thread in threads:
                 thread.start()
-            merged = collector.run(timeout=120)
+            # Shards return only after the collector granted them ``done``.
             for thread in threads:
-                thread.join(timeout=15)
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            merged = collector.run(timeout=120)
         assert [row_line(row) for row in merged] == baseline
 
     def test_batched_without_numpy_exits_two_with_hint(self, capsys, monkeypatch):

@@ -47,7 +47,7 @@ Ten checks, each returning a list of human-readable error strings:
 * ``check_collector_merge`` — the sharding layer's control-message registry
   (``repro.campaign.shard.CONTROL_SCHEMAS``) is self-consistent (ops carry
   the ``"op"`` discriminator, rows never do), and an in-process collector
-  fed by two static shards over a real socket merges their streams
+  fed by two pull shards over a real socket merges their streams
   **byte-identically** to the same matrix run locally with ``--jobs 1`` —
   the distributed sibling of ``check_campaign_rows``'s resume round-trip;
 * ``check_cli_thin_adapter`` — ``repro/cli.py`` stays a flag-parsing
@@ -484,7 +484,7 @@ def check_sink_picklability() -> List[str]:
 #: builds each through ``control_message`` so a schema edit that breaks the
 #: builder (or a new op without a sample here) fails loudly in tier-1.
 CONTROL_SAMPLE_FIELDS: Dict[str, Dict[str, object]] = {
-    "hello": {"shard": None, "jobs": 0, "fingerprint": "", "range": None},
+    "hello": {"shard": None, "jobs": 0, "fingerprint": ""},
     "welcome": {"jobs": 0, "pending": 0},
     "reject": {"error": ""},
     "pull": {"max": 1},
@@ -495,7 +495,7 @@ CONTROL_SAMPLE_FIELDS: Dict[str, Dict[str, object]] = {
 
 def check_collector_merge() -> List[str]:
     """The distributed sibling of ``check_campaign_rows``: an in-process
-    collector fed by two static shards over a real socket must merge their
+    collector fed by two pull shards over a real socket must merge their
     acked streams into exactly the bytes a local ``--jobs 1`` run writes —
     the property `repro-cc collect`'s output file guarantee rests on.  Also
     keeps the control-message schema registry honest: every op builds
@@ -548,24 +548,26 @@ def check_collector_merge() -> List[str]:
 
     def feed(index: int) -> None:
         try:
-            campaign.run_shard(collector.address, jobs, shard=(index, 2))
+            campaign.run_shard(collector.address, jobs, name=f"puller-{index}", batch=1)
         except Exception as exc:
-            failures.append(f"shard {index + 1}/2 failed: {exc!r}")
+            failures.append(f"pull shard {index} failed: {exc!r}")
 
     threads = [threading.Thread(target=feed, args=(index,)) for index in range(2)]
     for thread in threads:
         thread.start()
+    # A shard returns only once the collector granted it ``done``, so join
+    # before run() closes the listener: a late shard still gets to finish.
+    for thread in threads:
+        thread.join(timeout=60)
     try:
         rows = collector.run(timeout=60)
     except TimeoutError as exc:
         rows = []
         failures.append(f"collector did not complete: {exc}")
-    for thread in threads:
-        thread.join(timeout=10)
     errors.extend(failures)
     if not failures and [sinks.row_line(row) for row in rows] != baseline:
         errors.append(
-            "two static shards merged through the collector are not "
+            "two pull shards merged through the collector are not "
             "byte-identical to the same matrix run with --jobs 1"
         )
     return errors

@@ -24,8 +24,8 @@ Layout
                   effects, closures into pools, entry-point resolvability)
 ``listeners``     RL4xx — scheduler listener protocol (StopRun-only raises,
                   epoch-aware delta consumption)
-``repo_checks``   RC0xx — the seven historical ``tools/check_repo.py``
-                  hygiene checks, migrated into the same registry
+``repo_checks``   RC0xx — the ten ``tools/check_repo.py`` hygiene checks
+                  (RC001–RC010), wrapped into the same registry
 ``registry``      pass registry + driver shared by the CLI and tier-1
 ``cli``           the ``repro-lint`` console entry point
                   (``python -m tools.staticcheck``)
