@@ -24,6 +24,7 @@ from repro.kernel.algorithm import (
     Action,
     ActionContext,
     DistributedAlgorithm,
+    memoized_macro,
     merge_read_dependency_variables,
 )
 from repro.kernel.configuration import Configuration
@@ -153,6 +154,7 @@ class CommitteeAlgorithmBase(DistributedAlgorithm):
     # ------------------------------------------------------------------ #
     # shared predicates (Algorithms 1 and 2)
     # ------------------------------------------------------------------ #
+    @memoized_macro
     def ready(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """``Ready(p) ≡ ∃ε ∈ E_p : ∀q ∈ ε : (P_q = ε ∧ S_q ∈ {looking, waiting})``."""
         for edge in self.incident(pid):
@@ -164,6 +166,7 @@ class CommitteeAlgorithmBase(DistributedAlgorithm):
                 return True
         return False
 
+    @memoized_macro
     def meeting(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """``Meeting(p) ≡ ∃ε ∈ E_p : ∀q ∈ ε : (P_q = ε ∧ S_q ∈ {waiting, done})``."""
         for edge in self.incident(pid):

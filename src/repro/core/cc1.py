@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.hypergraph.hypergraph import Hyperedge, Hypergraph, ProcessId
-from repro.kernel.algorithm import Action, ActionContext
+from repro.kernel.algorithm import Action, ActionContext, memoized_macro
 from repro.core.base import CommitteeAlgorithmBase
 from repro.core.composition import TokenBinding
 from repro.core.states import DONE, IDLE, LOOKING, POINTER, STATUS, TOKEN_FLAG, WAITING
@@ -66,6 +66,7 @@ class CC1Algorithm(CommitteeAlgorithmBase):
     # ------------------------------------------------------------------ #
     # macros (Algorithm 1)
     # ------------------------------------------------------------------ #
+    @memoized_macro
     def free_edges(self, ctx: ActionContext, pid: ProcessId) -> List[Hyperedge]:
         """``FreeEdges_p = {ε ∈ E_p | ∀q ∈ ε : S_q = looking}``."""
         return [
@@ -201,14 +202,14 @@ class CC1Algorithm(CommitteeAlgorithmBase):
 
         # -- Step31 : committee agreed, wait for the meeting ---------------- #
         def step31_guard(ctx: ActionContext) -> bool:
-            return self.ready(ctx, pid) and ctx.read(pid, STATUS) == LOOKING
+            return ctx.read(pid, STATUS) == LOOKING and self.ready(ctx, pid)
 
         def step31_stmt(ctx: ActionContext) -> None:
             ctx.write(STATUS, WAITING)
 
         # -- Step32 : meeting convened, essential discussion ---------------- #
         def step32_guard(ctx: ActionContext) -> bool:
-            return self.meeting(ctx, pid) and ctx.read(pid, STATUS) == WAITING
+            return ctx.read(pid, STATUS) == WAITING and self.meeting(ctx, pid)
 
         def step32_stmt(ctx: ActionContext) -> None:
             ctx.environment.on_essential_discussion(pid)
@@ -227,13 +228,13 @@ class CC1Algorithm(CommitteeAlgorithmBase):
 
         # -- Stab1 / Stab2 : snap-stabilization correction ------------------- #
         def stab1_guard(ctx: ActionContext) -> bool:
-            return not self.correct(ctx, pid) and ctx.read(pid, STATUS) == IDLE
+            return ctx.read(pid, STATUS) == IDLE and not self.correct(ctx, pid)
 
         def stab1_stmt(ctx: ActionContext) -> None:
             ctx.write(POINTER, None)
 
         def stab2_guard(ctx: ActionContext) -> bool:
-            return not self.correct(ctx, pid) and ctx.read(pid, STATUS) != IDLE
+            return ctx.read(pid, STATUS) != IDLE and not self.correct(ctx, pid)
 
         def stab2_stmt(ctx: ActionContext) -> None:
             ctx.write(STATUS, LOOKING)
@@ -252,6 +253,6 @@ class CC1Algorithm(CommitteeAlgorithmBase):
             Action("Stab2", stab2_guard, stab2_stmt),
         ]
         # Fair composition with the token module's maintenance actions (if
-        # any).  They are appended *before* the CC actions' stabilization
-        # rules would not be meaningful, so they go first (lowest priority).
+        # any).  They go first, i.e. at the lowest priority, so that they
+        # never pre-empt a CC action (in particular the stabilization rules).
         return tuple(self.token.maintenance_actions(pid) + actions)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.hypergraph.hypergraph import Hyperedge, Hypergraph, ProcessId
-from repro.kernel.algorithm import Action, ActionContext
+from repro.kernel.algorithm import Action, ActionContext, memoized_macro
 from repro.core.base import CommitteeAlgorithmBase
 from repro.core.composition import TokenBinding
 from repro.core.states import DONE, LOCK_FLAG, LOOKING, POINTER, STATUS, TOKEN_FLAG, WAITING
@@ -70,6 +70,7 @@ class CC2Algorithm(CommitteeAlgorithmBase):
     # ------------------------------------------------------------------ #
     # macros (Algorithm 2)
     # ------------------------------------------------------------------ #
+    @memoized_macro
     def free_edges(self, ctx: ActionContext, pid: ProcessId) -> List[Hyperedge]:
         """``FreeEdges_p = {ε ∈ E_p | ∀q ∈ ε : (S_q = looking ∧ ¬L_q ∧ ¬T_q)}``."""
         return [
@@ -89,6 +90,7 @@ class CC2Algorithm(CommitteeAlgorithmBase):
             nodes.update(edge.members)
         return sorted(nodes)
 
+    @memoized_macro
     def t_pointing_edges(self, ctx: ActionContext, pid: ProcessId) -> List[Hyperedge]:
         """``TPointingEdges_p``: incident committees selected by a looking token holder."""
         return [
@@ -288,14 +290,14 @@ class CC2Algorithm(CommitteeAlgorithmBase):
 
         # -- Step2 : committee agreed, wait for the meeting ------------------- #
         def step2_guard(ctx: ActionContext) -> bool:
-            return self.ready(ctx, pid) and ctx.read(pid, STATUS) == LOOKING
+            return ctx.read(pid, STATUS) == LOOKING and self.ready(ctx, pid)
 
         def step2_stmt(ctx: ActionContext) -> None:
             ctx.write(STATUS, WAITING)
 
         # -- Step3 : meeting convened, essential discussion ------------------- #
         def step3_guard(ctx: ActionContext) -> bool:
-            return self.meeting(ctx, pid) and ctx.read(pid, STATUS) == WAITING
+            return ctx.read(pid, STATUS) == WAITING and self.meeting(ctx, pid)
 
         def step3_stmt(ctx: ActionContext) -> None:
             ctx.environment.on_essential_discussion(pid)

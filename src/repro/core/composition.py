@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence
 
-from repro.kernel.algorithm import Action, ActionContext
+from repro.kernel.algorithm import Action, ActionContext, memoized_macro
 from repro.kernel.composition import namespaced_action
 from repro.kernel.configuration import Configuration, ProcessId
 from repro.tokenring.interfaces import TokenModule
@@ -76,11 +76,11 @@ class TokenBinding:
     # ------------------------------------------------------------------ #
     # the Token(p) predicate and ReleaseToken_p statement
     # ------------------------------------------------------------------ #
-    def token(self, ctx: ActionContext, pid: ProcessId | None = None) -> bool:
-        """``Token(p)`` evaluated against the pre-step snapshot in ``ctx``."""
-        target = ctx.pid if pid is None else pid
+    @memoized_macro
+    def token(self, ctx: ActionContext, pid: ProcessId) -> bool:
+        """``Token(p)`` against the pre-step snapshot in ``ctx`` (``pid`` defaults to ``ctx.pid``)."""
         read = lambda q, var: ctx.read(q, self.prefix + var)
-        return self.module.holds_token(read, target)
+        return self.module.holds_token(read, pid)
 
     def token_in(self, configuration: Configuration, pid: ProcessId) -> bool:
         """``Token(p)`` evaluated against a full configuration (spec checkers)."""

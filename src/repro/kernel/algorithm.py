@@ -23,6 +23,7 @@ environment is exposed to guards and statements through the
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -44,7 +45,9 @@ class Environment:
     #: fewer times cannot change the run.  The incremental scheduler engine
     #: skips guard evaluations and therefore refuses environments that set
     #: this to ``False`` when asked for explicitly; the default
-    #: ``engine=None``/``"auto"`` falls back to the dense engine instead.
+    #: ``engine=None``/``"auto"`` falls back to the dense engine instead, and
+    #: :meth:`DistributedAlgorithm.enabled_action` then evaluates every guard
+    #: rather than stopping at the highest-priority enabled one.
     #: Every environment in this library keeps it ``True`` — draw randomness
     #: in :meth:`observe` (as ``ProbabilisticRequestEnvironment`` does) or in
     #: ``reset``, never inside ``request_in``/``request_out``.
@@ -83,7 +86,15 @@ class ActionContext:
     restricts itself to hypergraph neighbours.
     """
 
-    __slots__ = ("pid", "configuration", "environment", "_writes", "_released_token")
+    __slots__ = (
+        "pid",
+        "configuration",
+        "environment",
+        "memo",
+        "_get",
+        "_writes",
+        "_released_token",
+    )
 
     def __init__(
         self,
@@ -94,17 +105,22 @@ class ActionContext:
         self.pid = pid
         self.configuration = configuration
         self.environment = environment
+        #: Macro results of this context (``Ready(p)``, ``FreeEdges_p``, ...).
+        #: Valid for the context's whole lifetime because a context is one
+        #: (snapshot, pid) pair: reads never see its own buffered writes.
+        self.memo: Dict[Any, Any] = {}
+        self._get = configuration.get
         self._writes: Dict[str, Any] = {}
         self._released_token = False
 
     # -- reads ---------------------------------------------------------- #
     def read(self, pid: ProcessId, variable: str, default: Any = None) -> Any:
         """Read ``variable`` of process ``pid`` from the pre-step snapshot."""
-        return self.configuration.get(pid, variable, default)
+        return self._get(pid, variable, default)
 
     def own(self, variable: str, default: Any = None) -> Any:
         """Read one of the executing process's own variables."""
-        return self.configuration.get(self.pid, variable, default)
+        return self._get(self.pid, variable, default)
 
     def request_in(self) -> bool:
         return self.environment.request_in(self.pid, self.configuration)
@@ -128,6 +144,34 @@ class ActionContext:
     @property
     def released_token(self) -> bool:
         return self._released_token
+
+
+def memoized_macro(macro: Callable[[Any, ActionContext, ProcessId], Any]) -> Callable[..., Any]:
+    """Memoise a guard macro ``macro(self, ctx, pid)`` in ``ctx.memo``.
+
+    Guards of one process evaluate the same macros (``Ready(p)``,
+    ``FreeEdges_p``, ``Token(p)``, ...) several times against one context;
+    the first call computes, later calls return the stored value.  Only the
+    context's own process is memoised (``pid`` defaults to it): a macro
+    asked about another process is computed afresh.  The key is the macro's
+    qualified name, so one context must be evaluated by one algorithm.
+    Memoised values are shared between callers and must not be mutated.
+    """
+    key = macro.__qualname__
+
+    @functools.wraps(macro)
+    def wrapper(self: Any, ctx: ActionContext, pid: Optional[ProcessId] = None) -> Any:
+        if pid is None:
+            pid = ctx.pid
+        elif pid != ctx.pid:
+            return macro(self, ctx, pid)
+        memo = ctx.memo
+        if key in memo:
+            return memo[key]
+        value = memo[key] = macro(self, ctx, pid)
+        return value
+
+    return wrapper
 
 
 Guard = Callable[[ActionContext], bool]
@@ -220,29 +264,66 @@ class DistributedAlgorithm(abc.ABC):
         """A configuration with every variable drawn arbitrarily (transient faults)."""
         return Configuration({pid: self.arbitrary_state(pid, rng) for pid in self.process_ids()})
 
+    def priority_actions(self, pid: ProcessId) -> Tuple[Action, ...]:
+        """The actions of ``pid`` highest priority first (:meth:`actions` reversed)."""
+        return tuple(self.actions(pid))[::-1]
+
     def enabled_action(
-        self, pid: ProcessId, configuration: Configuration, environment: Environment
+        self,
+        pid: ProcessId,
+        configuration: Configuration,
+        environment: Environment,
+        actions: Optional[Sequence[Action]] = None,
     ) -> Optional[Action]:
         """The highest-priority enabled action of ``pid`` in ``configuration``.
 
-        Returns ``None`` when ``pid`` is disabled.  Priority follows the
-        paper's convention: the action appearing *last* in :meth:`actions`
-        wins.
+        Returns ``None`` when ``pid`` is disabled.  ``actions`` is the
+        process's action list *highest priority first* (see
+        :meth:`priority_actions`, which builds it when omitted; the scheduler
+        builds it once per run).  Priority follows the paper's convention:
+        the action appearing *last* in :meth:`actions` wins.
+
+        Guards are evaluated through :meth:`Action.enabled` against one
+        :class:`ActionContext`, whose :attr:`~ActionContext.memo` shares
+        macro results between the guards for this one call.  Guards must be
+        free of side effects, so the scan stops at the first enabled action
+        in priority order.  An environment declaring ``deterministic_guards
+        = False`` may have side-effecting request predicates; for it every
+        guard is evaluated, in code order (lowest priority first), and the
+        last enabled one is kept — so such an environment sees the same
+        ``request_in``/``request_out`` calls on the dense engine as with an
+        exhaustive scan.
         """
+        if actions is None:
+            actions = self.priority_actions(pid)
         ctx = ActionContext(pid, configuration, environment)
+        if getattr(environment, "deterministic_guards", True):
+            for action in actions:
+                if action.enabled(ctx):
+                    return action
+            return None
         chosen: Optional[Action] = None
-        for action in self.actions(pid):
+        for action in reversed(actions):
             if action.enabled(ctx):
                 chosen = action
         return chosen
 
     def enabled_processes(
-        self, configuration: Configuration, environment: Environment
+        self,
+        configuration: Configuration,
+        environment: Environment,
+        table: Optional[Mapping[ProcessId, Sequence[Action]]] = None,
     ) -> Dict[ProcessId, Action]:
-        """``Enabled(γ)`` with, for each enabled process, its priority action."""
+        """``Enabled(γ)`` with, for each enabled process, its priority action.
+
+        ``table`` optionally maps each process to its
+        :meth:`priority_actions` tuple (as :meth:`enabled_action` takes it).
+        """
         enabled: Dict[ProcessId, Action] = {}
         for pid in self.process_ids():
-            action = self.enabled_action(pid, configuration, environment)
+            action = self.enabled_action(
+                pid, configuration, environment, None if table is None else table[pid]
+            )
             if action is not None:
                 enabled[pid] = action
         return enabled

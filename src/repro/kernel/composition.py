@@ -39,6 +39,8 @@ class _NamespacedContext(ActionContext):
         self.pid = inner.pid
         self.configuration = inner.configuration
         self.environment = inner.environment
+        self.memo = {}
+        self._get = inner._get
         self._writes = inner._writes
         self._released_token = inner._released_token
         self._prefix = prefix

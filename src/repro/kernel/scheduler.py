@@ -207,6 +207,14 @@ class Scheduler:
         )
         self.record_configurations = record_configurations
         self.engine = engine
+        # Each process's actions, highest priority first, built once per run
+        # (``actions(pid)`` builds fresh closures on every call).  The table
+        # lives here, not on the algorithm: algorithm -> table -> closure ->
+        # algorithm would be a reference cycle that only the cyclic garbage
+        # collector frees.
+        self._actions: Dict[ProcessId, Tuple[Any, ...]] = {
+            pid: algorithm.priority_actions(pid) for pid in algorithm.process_ids()
+        }
         #: Configuration epoch: bumped by every external configuration swap
         #: (:meth:`set_configuration`), stamped onto every step's
         #: :class:`~repro.kernel.trace.StepDelta` so observers can tell
@@ -327,10 +335,12 @@ class Scheduler:
     def _current_enabled(self) -> Dict[ProcessId, Any]:
         """The enabled map for the current configuration (cached if incremental)."""
         if self.engine == "dense":
-            return self.algorithm.enabled_processes(self.configuration, self.environment)
+            return self.algorithm.enabled_processes(
+                self.configuration, self.environment, self._actions
+            )
         if self._enabled_cache is None:
             self._enabled_cache = self.algorithm.enabled_processes(
-                self.configuration, self.environment
+                self.configuration, self.environment, self._actions
             )
         else:
             # The cache was computed before the environment observed the last
@@ -346,7 +356,7 @@ class Scheduler:
             )
             for pid in sensitive:
                 action = self.algorithm.enabled_action(
-                    pid, self.configuration, self.environment
+                    pid, self.configuration, self.environment, self._actions[pid]
                 )
                 if action is None:
                     cache.pop(pid, None)
@@ -371,7 +381,9 @@ class Scheduler:
         changed, so their enabledness is unchanged by construction.
         """
         if self.engine == "dense" or self._proc_dependents is None:
-            return self.algorithm.enabled_processes(new_configuration, self.environment)
+            return self.algorithm.enabled_processes(
+                new_configuration, self.environment, self._actions
+            )
         after = dict(enabled_map)
         dirty: Set[ProcessId] = set()
         proc_dependents = self._proc_dependents
@@ -385,7 +397,9 @@ class Scheduler:
                 if readers:
                     dirty.update(readers)
         for pid in dirty:
-            action = self.algorithm.enabled_action(pid, new_configuration, self.environment)
+            action = self.algorithm.enabled_action(
+                pid, new_configuration, self.environment, self._actions[pid]
+            )
             if action is None:
                 after.pop(pid, None)
             else:

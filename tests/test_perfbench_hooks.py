@@ -80,3 +80,30 @@ def test_traced_campaign_records_layer_spans_and_uninstalls(monkeypatch):
         assert owner.__dict__[attr] is original
     for owner, attr, original in saved:
         assert owner.__dict__[attr] is original
+
+
+def test_traced_incremental_run_counts_guard_layer(monkeypatch):
+    # A fast path that bypassed ``enabled_action``, ``Action.enabled`` or
+    # ``Configuration.get`` would zero these layer metrics without failing
+    # any row check.
+    from repro.core.runner import CommitteeCoordinator
+    from repro.hypergraph.generators import figure1_hypergraph
+    from repro.kernel.daemon import default_daemon
+    from repro.kernel.scheduler import Scheduler
+    from repro.workloads.request_models import AlwaysRequestingEnvironment
+
+    tracing = _load_tracing(monkeypatch)
+    algorithm = CommitteeCoordinator(figure1_hypergraph(), algorithm="cc2").algorithm
+    tracer = tracing.Tracer()
+    with tracer:
+        scheduler = Scheduler(
+            algorithm,
+            environment=AlwaysRequestingEnvironment(),
+            daemon=default_daemon(seed=3),
+            engine="incremental",
+        )
+        assert scheduler.run(max_steps=40).steps > 0
+
+    assert tracer.calls("kernel.guard") > 0
+    assert tracer.count("kernel.guard.evals") > 0
+    assert tracer.count("kernel.configuration.reads") > 0
