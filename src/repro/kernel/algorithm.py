@@ -273,15 +273,15 @@ class DistributedAlgorithm(abc.ABC):
         pid: ProcessId,
         configuration: Configuration,
         environment: Environment,
-        actions: Optional[Sequence[Action]] = None,
+        actions: Sequence[Action],
     ) -> Optional[Action]:
         """The highest-priority enabled action of ``pid`` in ``configuration``.
 
         Returns ``None`` when ``pid`` is disabled.  ``actions`` is the
-        process's action list *highest priority first* (see
-        :meth:`priority_actions`, which builds it when omitted; the scheduler
-        builds it once per run).  Priority follows the paper's convention:
-        the action appearing *last* in :meth:`actions` wins.
+        process's action list *highest priority first*, as
+        :meth:`priority_actions` builds it (the scheduler builds it once per
+        run).  Priority follows the paper's convention: the action appearing
+        *last* in :meth:`actions` wins.
 
         Guards are evaluated through :meth:`Action.enabled` against one
         :class:`ActionContext`, whose :attr:`~ActionContext.memo` shares
@@ -294,8 +294,6 @@ class DistributedAlgorithm(abc.ABC):
         ``request_in``/``request_out`` calls on the dense engine as with an
         exhaustive scan.
         """
-        if actions is None:
-            actions = self.priority_actions(pid)
         ctx = ActionContext(pid, configuration, environment)
         if getattr(environment, "deterministic_guards", True):
             for action in actions:
@@ -312,18 +310,15 @@ class DistributedAlgorithm(abc.ABC):
         self,
         configuration: Configuration,
         environment: Environment,
-        table: Optional[Mapping[ProcessId, Sequence[Action]]] = None,
+        table: Mapping[ProcessId, Sequence[Action]],
     ) -> Dict[ProcessId, Action]:
         """``Enabled(γ)`` with, for each enabled process, its priority action.
 
-        ``table`` optionally maps each process to its
-        :meth:`priority_actions` tuple (as :meth:`enabled_action` takes it).
+        ``table`` maps each process to its :meth:`priority_actions` tuple.
         """
         enabled: Dict[ProcessId, Action] = {}
         for pid in self.process_ids():
-            action = self.enabled_action(
-                pid, configuration, environment, None if table is None else table[pid]
-            )
+            action = self.enabled_action(pid, configuration, environment, table[pid])
             if action is not None:
                 enabled[pid] = action
         return enabled

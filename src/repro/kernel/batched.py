@@ -62,8 +62,7 @@ instead of the dense engine's two.
 numpy is an optional extra (``pip install 'repro-cc[batched]'``): this module
 imports without it, and :func:`require_numpy` raises
 :class:`BatchedUnsupported` with the extra's name when the arrays are
-actually needed.  numpy is imported on first use, so processes that never
-run the batched engine do not pay its import time and memory.
+actually needed.
 """
 
 from __future__ import annotations
@@ -76,9 +75,10 @@ from repro.kernel.daemon import Daemon
 from repro.kernel.scheduler import StopRun
 from repro.kernel.trace import StepDelta, StepRecord, Trace
 
-_UNLOADED: Any = object()
-#: The numpy module once imported, ``None`` when it is not installed.
-_np: Any = _UNLOADED
+try:  # pragma: no cover - exercised only in numpy-less environments
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
 
 #: Engine name (accepted by the campaign matrix / CLI, not by the solo
 #: :class:`~repro.kernel.scheduler.Scheduler`, whose unit of work is one run).
@@ -102,29 +102,16 @@ class BatchedUnsupported(RuntimeError):
     """
 
 
-def _numpy() -> Any:
-    global _np
-    if _np is _UNLOADED:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - numpy-less environments only
-            _np = None
-        else:
-            _np = numpy
-    return _np
-
-
 def numpy_available() -> bool:
     """``True`` iff numpy is importable (the ``repro-cc[batched]`` extra)."""
-    return _numpy() is not None
+    return _np is not None
 
 
 def require_numpy() -> Any:
     """Return the numpy module or raise :class:`BatchedUnsupported` with the hint."""
-    np = _numpy()
-    if np is None:
+    if _np is None:
         raise BatchedUnsupported(NUMPY_HINT)
-    return np
+    return _np
 
 
 class BatchedConfiguration:

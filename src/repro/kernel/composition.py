@@ -46,10 +46,10 @@ class _NamespacedContext(ActionContext):
         self._prefix = prefix
 
     def read(self, pid: ProcessId, variable: str, default: Any = None) -> Any:
-        return self.configuration.get(pid, self._prefix + variable, default)
+        return self._get(pid, self._prefix + variable, default)
 
     def own(self, variable: str, default: Any = None) -> Any:
-        return self.configuration.get(self.pid, self._prefix + variable, default)
+        return self._get(self.pid, self._prefix + variable, default)
 
     def write(self, variable: str, value: Any) -> None:
         self._writes[self._prefix + variable] = value

@@ -74,26 +74,6 @@ class TestNumpyGuard:
         assert numpy_available()
         assert require_numpy() is np
 
-    def test_importing_the_library_does_not_import_numpy(self):
-        # numpy is loaded on first batched use only: solo runs and campaigns
-        # without the batched engine skip its import time and memory.
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import repro
-
-        code = (
-            "import sys, repro, repro.campaign, repro.kernel.batched\n"
-            "print('numpy' in sys.modules)"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-        )
-        assert out.stdout.strip() == "False"
-
     def test_hint_names_the_extra(self):
         # The graceful-degradation contract: every "no numpy" message tells
         # the user exactly what to install.

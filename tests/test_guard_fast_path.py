@@ -157,7 +157,7 @@ class _LoggingCoinEnvironment(Environment):
 class _FullScanCC1(CC1Algorithm):
     """cc1 whose ``enabled_action`` is the exhaustive scan (code order, last enabled)."""
 
-    def enabled_action(self, pid, configuration, environment, actions=None):
+    def enabled_action(self, pid, configuration, environment, actions):
         ctx = ActionContext(pid, configuration, environment)
         chosen = None
         for action in self.actions(pid):
