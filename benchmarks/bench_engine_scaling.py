@@ -10,9 +10,11 @@ both engines and reports steps/sec plus the speedup.
 The batched lockstep engine (:mod:`repro.kernel.batched`) targets the
 *cross-run* axis instead: one vectorized guard sweep serves every lane of a
 seed sweep, so aggregate steps·runs/sec grows with the lane count on a
-single core.  ``test_batched_engine_scaling`` measures raw-mode batches at
-runs ∈ {16, 64, 256} against the same seeds run as a solo ``incremental``
-loop and enforces the ≥5x aggregate-throughput floor at 256 lanes.
+single core.  ``test_batched_engine_scaling`` measures batches at
+runs ∈ {16, 64, 256} — recording lanes (sparse trace, step records), as in
+every campaign — against the same seeds run as a solo ``incremental`` loop
+(also keeping a sparse trace) and enforces the ≥5x aggregate-throughput
+floor at 256 lanes.
 
 Each measurement is also emitted as a JSON row (via the ``perf_row``
 fixture → ``benchmarks/perf_rows.jsonl``) so successive commits accumulate
@@ -171,14 +173,14 @@ def _batched_scenario():
 
 
 def _measure_batched(algorithm, runs: int) -> Tuple[float, int]:
-    """Raw-mode lockstep batch: aggregate lane-steps/sec across ``runs`` lanes."""
+    """Lockstep batch: aggregate lane-steps/sec across ``runs`` lanes."""
     from repro.core.batched_program import compile_program
     from repro.kernel.batched import BatchedScheduler
 
     program = compile_program(algorithm, AlwaysRequestingEnvironment(discussion_steps=1))
     initials = [algorithm.initial_configuration() for _ in range(runs)]
     daemons = [default_daemon(seed=SEED + lane) for lane in range(runs)]
-    scheduler = BatchedScheduler(program, initials, daemons, record=False)
+    scheduler = BatchedScheduler(program, initials, daemons)
     start = time.perf_counter()  # repro-lint: disable=RL102 -- perf bench measures wall clock by design
     results = scheduler.run(BATCH_STEPS)
     elapsed = time.perf_counter() - start  # repro-lint: disable=RL102 -- perf bench measures wall clock by design

@@ -9,9 +9,10 @@ group as a single :class:`~repro.kernel.batched.BatchedScheduler` run —
 compiling the scenario once, then giving every lane its own seed-derived
 daemon, initial configuration, fault injector and streaming monitors.
 
-Row identity is the whole point: each lane's :class:`JobResult` is assembled
-by the same :func:`~repro.campaign.jobs.completed_row` helper the solo path
-uses, fed by the same streaming collector/spec-suite observers, over a
+Row identity is the whole point: each lane is set up and its
+:class:`JobResult` assembled by the same :class:`~repro.campaign.jobs.JobRun`
+the solo path uses (seeded inputs, streaming collector/spec-suite observers,
+:func:`~repro.campaign.jobs.completed_row`), over a
 step-record stream the lane contract guarantees is identical to the solo
 run's.  Sinks, ``--resume`` and the shard collector therefore see rows that
 are byte-identical whether a cell was executed batched, solo, or split
@@ -35,13 +36,7 @@ import time
 from dataclasses import fields, replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.campaign.jobs import (
-    JobResult,
-    RunJob,
-    _run_job,
-    completed_row,
-    error_result,
-)
+from repro.campaign.jobs import JobResult, JobRun, RunJob, _run_job, error_result
 from repro.kernel.batched import BATCHED_ENGINE
 
 #: Lanes per lockstep group.  Bounds peak memory (arrays are ``(runs, n)``)
@@ -136,9 +131,6 @@ def _run_group(jobs: Sequence[RunJob]) -> List[JobResult]:
     from repro.core.batched_program import compile_program
     from repro.core.runner import CommitteeCoordinator
     from repro.kernel.batched import BatchedScheduler
-    from repro.kernel.faults import FaultInjector, arbitrary_configuration
-    from repro.metrics.collector import StreamingMetricsCollector
-    from repro.spec.streaming import StreamingSpecSuite
 
     lead = jobs[0]
     hypergraph = lead.build_hypergraph()
@@ -153,60 +145,17 @@ def _run_group(jobs: Sequence[RunJob]) -> List[JobResult]:
         engine="incremental",
     ).algorithm
     program = compile_program(algorithm, lead.build_environment())
-
-    initials = []
-    daemons = []
-    injectors = []
-    collectors = []
-    suites = []
-    listeners = []
-    for job in jobs:
-        initials.append(
-            arbitrary_configuration(algorithm, seed=job.seed)
-            if job.arbitrary_start
-            else algorithm.initial_configuration()
-        )
-        daemons.append(job.build_daemon())
-        injectors.append(
-            FaultInjector(algorithm, fraction=job.fault_fraction, seed=job.seed + 1)
-            if job.fault_every
-            else None
-        )
-        collector = StreamingMetricsCollector(hypergraph)
-        suite = StreamingSpecSuite(
-            hypergraph,
-            grace_steps=job.grace_steps,
-            stream=collector.stream,
-            fairness=collector.fairness_monitor,
-            check_discussion=True,
-        )
-        collectors.append(collector)
-        suites.append(suite)
-        listeners.append((collector.observe_step, suite.observe_step))
-
+    runs = [JobRun(job, algorithm, hypergraph) for job in jobs]
     scheduler = BatchedScheduler(
         program,
-        initials,
-        daemons,
-        injectors=injectors if lead.fault_every else None,
+        [run.initial for run in runs],
+        [run.daemon for run in runs],
+        injectors=[run.injector for run in runs] if lead.fault_every else None,
         fault_every=lead.fault_every,
-        step_listeners=listeners,
-        record=True,
+        step_listeners=[run.listeners for run in runs],
     )
     lanes = scheduler.run(lead.max_steps)
-
-    results: List[JobResult] = []
-    for job, lane, collector, suite in zip(jobs, lanes, collectors, suites):
-        metrics = collector.metrics(lane.trace)
-        verdicts = suite.verdicts()
-        row = completed_row(job, lane.steps, lane.stop_reason, metrics, verdicts)
-        results.append(
-            JobResult(
-                index=job.index,
-                row=row,
-                steps=lane.steps,
-                elapsed_seconds=0.0,
-                ok=verdicts.all_hold,
-            )
-        )
-    return results
+    return [
+        run.result(lane.steps, lane.stop_reason, lane.trace, 0.0)
+        for run, lane in zip(runs, lanes)
+    ]

@@ -25,6 +25,7 @@ from repro.kernel.algorithm import Environment
 from repro.kernel.daemon import Daemon, daemon_from_name
 from repro.kernel.faults import FaultInjector, arbitrary_configuration
 from repro.kernel.scheduler import Scheduler, StopRun
+from repro.kernel.trace import Trace
 from repro.metrics.collector import StreamingMetricsCollector
 from repro.spec.streaming import SpecVerdicts, StreamingSpecSuite
 from repro.workloads.random_scenarios import random_scenario
@@ -308,6 +309,57 @@ def execute_job(job: RunJob) -> JobResult:
         return error_result(job, exc, elapsed_seconds=time.perf_counter() - start)  # repro-lint: disable=RL102 -- --timing-only
 
 
+class JobRun:
+    """One job's per-run inputs and observers, and the row they produce.
+
+    The single per-job setup shared by the solo path (:func:`_run_job`) and
+    each lane of a batched group
+    (:func:`repro.campaign.batched._run_group`): the initial configuration
+    (arbitrary or legitimate), the seeded daemon, the fault injector (when
+    the job has a fault schedule) and the streaming metrics collector +
+    spec suite listener pair.  :meth:`result` turns the run's outcome into
+    the job's :class:`JobResult` through :func:`completed_row`.
+    """
+
+    __slots__ = ("job", "initial", "daemon", "injector", "collector", "suite", "listeners")
+
+    def __init__(self, job: RunJob, algorithm, hypergraph: Hypergraph) -> None:
+        self.job = job
+        self.initial = (
+            arbitrary_configuration(algorithm, seed=job.seed)
+            if job.arbitrary_start
+            else algorithm.initial_configuration()
+        )
+        self.daemon = job.build_daemon()
+        self.injector = (
+            FaultInjector(algorithm, fraction=job.fault_fraction, seed=job.seed + 1)
+            if job.fault_every
+            else None
+        )
+        self.collector = StreamingMetricsCollector(hypergraph)
+        self.suite = StreamingSpecSuite(
+            hypergraph,
+            grace_steps=job.grace_steps,
+            stream=self.collector.stream,
+            fairness=self.collector.fairness_monitor,
+            check_discussion=True,
+        )
+        self.listeners = (self.collector.observe_step, self.suite.observe_step)
+
+    def result(
+        self, steps: int, stop_reason: str, trace: Trace, elapsed_seconds: float
+    ) -> JobResult:
+        metrics = self.collector.metrics(trace)
+        verdicts = self.suite.verdicts()
+        return JobResult(
+            index=self.job.index,
+            row=completed_row(self.job, steps, stop_reason, metrics, verdicts),
+            steps=steps,
+            elapsed_seconds=elapsed_seconds,
+            ok=verdicts.all_hold,
+        )
+
+
 def _run_job(job: RunJob, runtime_engine: Optional[str] = None) -> JobResult:
     """One solo run.  ``runtime_engine`` overrides the engine actually
     executed (the batched fallback runs ``incremental``) while the row's
@@ -316,40 +368,24 @@ def _run_job(job: RunJob, runtime_engine: Optional[str] = None) -> JobResult:
     """
     engine = runtime_engine or job.engine
     hypergraph = job.build_hypergraph()
-    coordinator = CommitteeCoordinator(
+    algorithm = CommitteeCoordinator(
         hypergraph,
         algorithm=job.algorithm,
         token=job.token,
         seed=job.seed,
         engine=engine,
-    )
-    algorithm = coordinator.algorithm
-    collector = StreamingMetricsCollector(hypergraph)
-    suite = StreamingSpecSuite(
-        hypergraph,
-        grace_steps=job.grace_steps,
-        stream=collector.stream,
-        fairness=collector.fairness_monitor,
-        check_discussion=True,
-    )
+    ).algorithm
+    run = JobRun(job, algorithm, hypergraph)
     scheduler = Scheduler(
         algorithm,
         environment=job.build_environment(),
-        daemon=job.build_daemon(),
-        initial_configuration=(
-            arbitrary_configuration(algorithm, seed=job.seed)
-            if job.arbitrary_start
-            else None
-        ),
+        daemon=run.daemon,
+        initial_configuration=run.initial,
         record_configurations=False,
         engine=engine,
-        step_listener=[collector.observe_step, suite.observe_step],
+        step_listener=run.listeners,
     )
-    injector = (
-        FaultInjector(algorithm, fraction=job.fault_fraction, seed=job.seed + 1)
-        if job.fault_every
-        else None
-    )
+    injector = run.injector
     start = time.perf_counter()  # repro-lint: disable=RL102 -- elapsed_seconds is --timing-only, stripped from rows
     stop_reason = "max_steps"
     while scheduler.step_index < job.max_steps:
@@ -367,14 +403,4 @@ def _run_job(job: RunJob, runtime_engine: Optional[str] = None) -> JobResult:
             stop_reason = stop.reason
             break
     elapsed = time.perf_counter() - start  # repro-lint: disable=RL102 -- --timing-only
-
-    metrics = collector.metrics(scheduler.trace)
-    verdicts = suite.verdicts()
-    row = completed_row(job, scheduler.step_index, stop_reason, metrics, verdicts)
-    return JobResult(
-        index=job.index,
-        row=row,
-        steps=scheduler.step_index,
-        elapsed_seconds=elapsed,
-        ok=verdicts.all_hold,
-    )
+    return run.result(scheduler.step_index, stop_reason, scheduler.trace, elapsed)

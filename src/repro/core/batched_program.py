@@ -28,7 +28,7 @@ or ``-1``.  Environment-dependent guards (``Step1`` reads ``RequestIn``,
 ``Step4`` reads ``RequestOut``; nothing else consults the environment) are
 stored as environment-*independent* base matrices and intersected with the
 request matrices at fold time, so the post-step sweep can be cached and
-reused as the next step's pre-step sweep (see the dirty-matrix protocol in
+reused as the next step's pre-step sweep (see "The cached sweep" in
 :mod:`repro.kernel.batched`).
 
 Coverage
@@ -65,6 +65,7 @@ from repro.core.states import (
     TOKEN_FLAG,
     WAITING,
 )
+from repro.kernel.algorithm import Environment
 from repro.kernel.batched import BatchedConfiguration, BatchedUnsupported, require_numpy
 from repro.kernel.configuration import Configuration, ProcessId
 from repro.tokenring.dijkstra_ring import COUNTER, DijkstraRingToken
@@ -110,7 +111,7 @@ class _VectorEnvironment:
     broadcast serves every lane.
     """
 
-    __slots__ = ("kind", "limit", "active", "quiet", "done", "_step", "_phase_ids", "_true", "essential")
+    __slots__ = ("kind", "limit", "active", "quiet", "done", "_step", "_phase_ids", "_true")
 
     def __init__(
         self,
@@ -131,10 +132,6 @@ class _VectorEnvironment:
         self._step = 0
         self._phase_ids = np.asarray([pid * 3 for pid in pids], dtype=np.int64)
         self._true = np.ones((runs, n), dtype=bool)
-        #: Per-(lane, pid) essential-discussion counters (cosmetic parity
-        #: with ``on_essential_discussion``; nothing downstream reads them,
-        #: but the hook must exist and must not crash).
-        self.essential: Dict[Tuple[int, ProcessId], int] = {}
 
     def observe(self, status_codes: Any, step_index: int) -> None:
         np = require_numpy()
@@ -164,17 +161,15 @@ class _VectorEnvironment:
         return bool(self.done[lane, col] >= self.limit)
 
 
-class _LaneEnvironment:
+class _LaneEnvironment(Environment):
     """Per-lane :class:`~repro.kernel.algorithm.Environment` facade.
 
     Handed to the real ``ActionContext`` during statement execution; request
-    predicates read the vectorized environment state, the essential-discussion
-    hook keeps a per-lane counter.
+    predicates read the vectorized environment state, which the scheduler
+    observes for all lanes at once.
     """
 
     __slots__ = ("_env", "_lane", "_col")
-
-    deterministic_guards = True
 
     def __init__(self, env: _VectorEnvironment, lane: int, col: Dict[ProcessId, int]) -> None:
         self._env = env
@@ -186,16 +181,6 @@ class _LaneEnvironment:
 
     def request_out(self, pid: ProcessId, configuration: Any) -> bool:
         return self._env.request_out(self._lane, self._col[pid], pid)
-
-    def on_essential_discussion(self, pid: ProcessId) -> None:
-        key = (self._lane, pid)
-        self._env.essential[key] = self._env.essential.get(key, 0) + 1
-
-    def observe(self, configuration: Any, step_index: int) -> None:  # pragma: no cover
-        raise AssertionError("lane environments are observed via the vector path")
-
-    def reset(self) -> None:  # pragma: no cover - never rebuilt mid-run
-        pass
 
 
 class _LaneView:
@@ -312,7 +297,6 @@ class BatchedProgram:
             variables.append(CURSOR)
         variables.append(self._counter_var)
         self.variables: Tuple[str, ...] = tuple(variables)
-        self._var_index = {name: i for i, name in enumerate(self.variables)}
         self._dtypes: Dict[str, Any] = {
             STATUS: np.int8,
             POINTER: np.int32,
@@ -385,9 +369,9 @@ class BatchedProgram:
             TOKEN_FLAG: lambda a, l, c: bool(a[TOKEN_FLAG][l, c]),
             counter: lambda a, l, c: int(a[counter][l, c]),
         }
-        if LOCK_FLAG in self._var_index:
+        if LOCK_FLAG in self.variables:
             decoders[LOCK_FLAG] = lambda a, l, c: bool(a[LOCK_FLAG][l, c])
-        if CURSOR in self._var_index:
+        if CURSOR in self.variables:
             decoders[CURSOR] = lambda a, l, c: int(a[CURSOR][l, c])
         return decoders
 
@@ -426,7 +410,7 @@ class BatchedProgram:
         }
         kind, limit, active, quiet = self._env_spec
         env = _VectorEnvironment(kind, runs, self.pids, limit, active, quiet)
-        state = BatchedConfiguration(runs, arrays, self._var_index, env)
+        state = BatchedConfiguration(runs, arrays, env)
         for lane, configuration in enumerate(configurations):
             self.encode_lane(state, lane, configuration)
         return state
@@ -435,7 +419,7 @@ class BatchedProgram:
         self, state: BatchedConfiguration, lane: int, configuration: Configuration
     ) -> None:
         """(Re-)encode one lane's row from a full configuration."""
-        known = self._var_index
+        known = self.variables
         arrays = state.arrays
         for pid in self.pids:
             col = self._col[pid]
@@ -448,7 +432,6 @@ class BatchedProgram:
                 raise _unsupported(f"missing variables {sorted(missing)} of {pid}")
             for variable, value in variables.items():
                 arrays[variable][lane, col] = self._encode_value(pid, variable, value)
-        state.mark_lane_dirty(lane)
 
     def encode_writes(
         self,
@@ -456,18 +439,15 @@ class BatchedProgram:
         lane: int,
         writes: Dict[ProcessId, Dict[str, Any]],
     ) -> None:
-        """Apply one lane's buffered step writes, flagging the dirty matrix."""
+        """Apply one lane's buffered step writes to its array row."""
         arrays = state.arrays
-        dirty = state.dirty
-        var_index = self._var_index
         for pid, written in writes.items():
             col = self._col[pid]
             for variable, value in written.items():
-                slot = var_index.get(variable)
-                if slot is None:
+                array = arrays.get(variable)
+                if array is None:
                     raise _unsupported(f"write to unknown variable {variable!r}")
-                arrays[variable][lane, col] = self._encode_value(pid, variable, value)
-                dirty[lane, slot] = True
+                array[lane, col] = self._encode_value(pid, variable, value)
 
     def decode_lane(self, state: BatchedConfiguration, lane: int) -> Configuration:
         """One lane's row as a full canonical :class:`Configuration`."""
@@ -487,9 +467,6 @@ class BatchedProgram:
 
     def lane_environment(self, state: BatchedConfiguration, lane: int) -> _LaneEnvironment:
         return _LaneEnvironment(state.env, lane, self._col)
-
-    def column_of(self, pid: ProcessId) -> int:
-        return self._col[pid]
 
     def actions_for(self, pid: ProcessId) -> Tuple[Any, ...]:
         return self._actions[pid]

@@ -69,7 +69,7 @@ own enabled-map cache is invalidated through the same
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Collection, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.kernel.algorithm import ActionContext, DistributedAlgorithm, Environment
 from repro.kernel.configuration import Configuration, ProcessId
@@ -272,8 +272,7 @@ class Scheduler:
             self._var_dependents = {key: frozenset(ps) for key, ps in var.items()}
         # Let stateful environments see the initial configuration.
         self.environment.observe(self.configuration, -1)
-        for listener in self._step_listeners:
-            listener(self.configuration, None)
+        notify_listeners(self._step_listeners, self.configuration, None)
 
     def add_step_listener(self, listener: StepListener) -> None:
         """Attach another observer mid-construction (before the run starts).
@@ -412,32 +411,9 @@ class Scheduler:
         if not enabled_map:
             return None
         enabled_ids = tuple(sorted(enabled_map))
-
-        if self._round_pending is None:
-            # A new round starts: it must see the activation or
-            # neutralization of every process enabled right now.
-            self._round_pending = set(enabled_ids)
-
-        selected = self.daemon.select(enabled_ids, self.configuration, self.step_index)
-        selected = frozenset(p for p in selected if p in enabled_map)
-        if not selected:
-            # A daemon must select at least one enabled process; fall back to
-            # the smallest id to preserve the distributed property.
-            selected = frozenset({enabled_ids[0]})
-        # Report the selection that is actually executed (it may differ from
-        # the daemon's answer when the fallback above kicked in), so stateful
-        # daemons keep their fairness bookkeeping truthful.
-        self.daemon.notify_enabled(enabled_ids, selected)
-
-        writes: Dict[ProcessId, Dict[str, Any]] = {}
-        executed: Dict[ProcessId, str] = {}
-        for pid in sorted(selected):
-            action = enabled_map[pid]
-            ctx = ActionContext(pid, self.configuration, self.environment)
-            action.execute(ctx)
-            writes[pid] = ctx.writes
-            executed[pid] = action.label
-
+        selected, writes, executed = select_and_execute(
+            self, enabled_ids, enabled_map, self.configuration, self.environment
+        )
         new_configuration = self.configuration.updated(writes)
 
         if self._env_sensitive is not None and self._env_sensitive_vars:
@@ -454,67 +430,17 @@ class Scheduler:
                     else:
                         sensitive_set.discard(pid)
 
-        # Neutralization: enabled before, not selected, not enabled after.
         enabled_after_map = self._enabled_after_step(enabled_map, writes, new_configuration)
-        enabled_after = set(enabled_after_map)
-        neutralized = frozenset(
-            pid
-            for pid in enabled_ids
-            if pid not in selected and pid not in enabled_after
+        record = commit_step(
+            self, enabled_ids, selected, executed, writes, enabled_after_map, new_configuration
         )
-
-        record = StepRecord(
-            index=self.step_index,
-            selected=frozenset(selected),
-            executed=executed,
-            enabled_before=frozenset(enabled_ids),
-            neutralized=neutralized,
-            round_index=self.round_index,
-            delta=StepDelta(
-                writes={
-                    pid: tuple(sorted(written))
-                    for pid, written in writes.items()
-                    if written
-                },
-                epoch=self.epoch,
-            ),
-        )
-
-        # Advance round bookkeeping *after* stamping the record: the step is
-        # part of the round it completes.
-        self._round_pending -= set(selected)
-        self._round_pending -= set(neutralized)
-        # Processes that are simply no longer enabled (e.g. their guard went
-        # false because a neighbour moved) also stop being owed a move.
-        self._round_pending &= enabled_after | set(selected)
-        if not self._round_pending:
-            self.round_index += 1
-            self._round_pending = None
-
-        self.configuration = new_configuration
         if self.engine == "incremental":
             # γ''s enabled map becomes the next step's pre-step map; the
             # environment drift from the ``observe`` below is folded in by
             # ``_current_enabled`` at the start of the next step.
             self._enabled_cache = enabled_after_map
-        if self.record_configurations:
-            self.trace.append(new_configuration, record)
-        else:
-            self.trace.append_sparse(new_configuration, record)
-        self.step_index += 1
         self.environment.observe(new_configuration, record.index)
-        # Every listener sees every committed step, even when one of them
-        # stops the run: capture the first StopRun, keep notifying the rest
-        # (their state must stay in sync with the trace), then re-raise.
-        stop: Optional[StopRun] = None
-        for listener in self._step_listeners:
-            try:
-                listener(new_configuration, record)
-            except StopRun as exc:
-                if stop is None:
-                    stop = exc
-        if stop is not None:
-            raise stop
+        notify_listeners(self._step_listeners, new_configuration, record)
         return record
 
     # ------------------------------------------------------------------ #
@@ -574,7 +500,7 @@ class Scheduler:
         return SchedulerResult(
             trace=self.trace,
             steps=self.step_index,
-            rounds=self.round_index + (0 if self._round_pending is None else 1),
+            rounds=round_count(self),
             terminated=terminated,
             stop_reason=stop_reason,
         )
@@ -582,3 +508,141 @@ class Scheduler:
     def run_rounds(self, rounds: int, max_steps: int = 100_000) -> SchedulerResult:
         """Run for (up to) a fixed number of rounds."""
         return self.run(max_steps=max_steps, max_rounds=rounds)
+
+
+# ---------------------------------------------------------------------- #
+# step bookkeeping shared with the batched engine's lanes
+# ---------------------------------------------------------------------- #
+# ``run`` below is a :class:`Scheduler` or a
+# :class:`~repro.kernel.batched.Lane`: both carry the run state under the
+# same attribute names (``daemon``, ``configuration``, ``epoch``,
+# ``step_index``, ``round_index``, ``_round_pending``, ``trace``,
+# ``record_configurations``).
+
+
+def select_and_execute(
+    run: Any,
+    enabled_ids: Tuple[ProcessId, ...],
+    enabled_map: Mapping[ProcessId, Any],
+    configuration: Any,
+    environment: Environment,
+) -> Tuple[FrozenSet[ProcessId], Dict[ProcessId, Dict[str, Any]], Dict[ProcessId, str]]:
+    """The daemon's choice among ``enabled_ids``, executed under composite atomicity.
+
+    ``enabled_map`` maps each enabled process (``enabled_ids``, sorted) to
+    its priority action.  Every selected process executes against
+    ``configuration`` — the pre-step snapshot, or any object with its
+    ``get`` protocol — and its writes are buffered.  Returns the selection
+    and the per-process writes and executed action labels.
+    """
+    daemon = run.daemon
+    selected = daemon.select(enabled_ids, run.configuration, run.step_index)
+    selected = frozenset(p for p in selected if p in enabled_map)
+    if not selected:
+        # A daemon must select at least one enabled process; fall back to
+        # the smallest id to preserve the distributed property.
+        selected = frozenset({enabled_ids[0]})
+    # Report the selection that is actually executed (it may differ from
+    # the daemon's answer when the fallback above kicked in), so stateful
+    # daemons keep their fairness bookkeeping truthful.
+    daemon.notify_enabled(enabled_ids, selected)
+    writes: Dict[ProcessId, Dict[str, Any]] = {}
+    executed: Dict[ProcessId, str] = {}
+    for pid in sorted(selected):
+        action = enabled_map[pid]
+        ctx = ActionContext(pid, configuration, environment)
+        action.execute(ctx)
+        writes[pid] = ctx.writes
+        executed[pid] = action.label
+    return selected, writes, executed
+
+
+def commit_step(
+    run: Any,
+    enabled_ids: Tuple[ProcessId, ...],
+    selected: FrozenSet[ProcessId],
+    executed: Dict[ProcessId, str],
+    writes: Dict[ProcessId, Dict[str, Any]],
+    enabled_after: Collection[ProcessId],
+    new_configuration: Configuration,
+) -> StepRecord:
+    """Record one step of ``run`` and make ``new_configuration`` current.
+
+    ``enabled_after`` holds the processes enabled in ``new_configuration``
+    (before the environment observes it).  Stamps the
+    :class:`~repro.kernel.trace.StepRecord`, advances the round bookkeeping,
+    appends to the trace and bumps ``step_index``; the environment and the
+    listeners are the caller's.
+    """
+    # Neutralization: enabled before, not selected, not enabled after.
+    neutralized = frozenset(
+        pid
+        for pid in enabled_ids
+        if pid not in selected and pid not in enabled_after
+    )
+    record = StepRecord(
+        index=run.step_index,
+        selected=selected,
+        executed=executed,
+        enabled_before=frozenset(enabled_ids),
+        neutralized=neutralized,
+        round_index=run.round_index,
+        delta=StepDelta(
+            writes={
+                pid: tuple(sorted(written))
+                for pid, written in writes.items()
+                if written
+            },
+            epoch=run.epoch,
+        ),
+    )
+    # Round bookkeeping, advanced *after* stamping the record (the step is
+    # part of the round it completes).  A round that starts with this step
+    # must see the activation or neutralization of every process enabled
+    # now; a process stops being owed a move once it is selected or no
+    # longer enabled (neutralized processes are among the latter).
+    pending = run._round_pending
+    if pending is None:
+        pending = set(enabled_ids)
+    pending -= selected
+    pending.intersection_update(enabled_after)
+    if pending:
+        run._round_pending = pending
+    else:
+        run.round_index += 1
+        run._round_pending = None
+    run.configuration = new_configuration
+    if run.record_configurations:
+        run.trace.append(new_configuration, record)
+    else:
+        run.trace.append_sparse(new_configuration, record)
+    run.step_index += 1
+    return record
+
+
+def notify_listeners(
+    listeners: Sequence[StepListener],
+    configuration: Configuration,
+    record: Optional[StepRecord],
+) -> None:
+    """Feed ``(configuration, record)`` to every listener.
+
+    Every listener sees every committed step, even when one of them stops
+    the run: the first :class:`StopRun` is captured, the rest are still
+    notified (their state must stay in sync with the trace), then it is
+    re-raised.
+    """
+    stop: Optional[StopRun] = None
+    for listener in listeners:
+        try:
+            listener(configuration, record)
+        except StopRun as exc:
+            if stop is None:
+                stop = exc
+    if stop is not None:
+        raise stop
+
+
+def round_count(run: Any) -> int:
+    """Rounds completed by ``run`` plus the one in progress, if any."""
+    return run.round_index + (0 if run._round_pending is None else 1)

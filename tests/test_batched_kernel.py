@@ -3,8 +3,7 @@
 The exhaustive lane-identity proof lives in the differential harness
 (``test_differential_harness.py`` batched axis); this file covers the
 engine's own contracts: the numpy guard and its message, compile-time
-coverage validation (``BatchedUnsupported``), raw-vs-record equivalence,
-terminal/stopped lanes dropping out of the lockstep, fault-injection epochs,
+coverage validation (``BatchedUnsupported``), terminal/stopped lanes dropping out of the lockstep, fault-injection epochs,
 and the campaign grouping rules.
 """
 
@@ -18,7 +17,7 @@ from repro.campaign import CampaignSpec, RunJob, execute_job, execute_job_group,
 from repro.campaign.batched import MAX_GROUP_LANES, group_key
 from repro.core.batched_program import compile_program
 from repro.core.runner import CommitteeCoordinator
-from repro.hypergraph.generators import figure1_hypergraph, path_of_committees
+from repro.hypergraph.generators import figure1_hypergraph
 from repro.kernel.batched import (
     BatchedScheduler,
     BatchedUnsupported,
@@ -129,54 +128,6 @@ class TestCompileValidation:
 
 
 class TestBatchedScheduler:
-    def test_raw_mode_matches_record_mode(self):
-        algorithm = _algorithm(path_of_committees(4), "cc2", "tree")
-        program = compile_program(algorithm, AlwaysRequestingEnvironment(1))
-        lanes = 5
-
-        def run(record):
-            initials = [algorithm.initial_configuration() for _ in range(lanes)]
-            daemons = [default_daemon(seed=k) for k in range(lanes)]
-            scheduler = BatchedScheduler(program, initials, daemons, record=record)
-            results = scheduler.run(150)
-            finals = [
-                r.configuration
-                if record
-                else scheduler.program.decode_lane(scheduler.state, r.lane)
-                for r in results
-            ]
-            return [(r.steps, r.rounds, r.terminated, r.stop_reason) for r in results], finals
-
-        recorded, rec_finals = run(record=True)
-        raw, raw_finals = run(record=False)
-        assert recorded == raw
-        assert rec_finals == raw_finals
-
-    def test_raw_mode_has_no_traces(self):
-        algorithm = _algorithm()
-        program = compile_program(algorithm, AlwaysRequestingEnvironment(1))
-        scheduler = BatchedScheduler(
-            program,
-            [algorithm.initial_configuration()],
-            [SynchronousDaemon()],
-            record=False,
-        )
-        (result,) = scheduler.run(20)
-        assert result.trace is None and result.configuration is None
-        assert result.steps == 20
-
-    def test_listeners_require_record_mode(self):
-        algorithm = _algorithm()
-        program = compile_program(algorithm, AlwaysRequestingEnvironment(1))
-        with pytest.raises(ValueError, match="record=True"):
-            BatchedScheduler(
-                program,
-                [algorithm.initial_configuration()],
-                [SynchronousDaemon()],
-                step_listeners=[()],
-                record=False,
-            )
-
     def test_listener_stop_run_halts_only_its_lane(self):
         algorithm = _algorithm()
         program = compile_program(algorithm, AlwaysRequestingEnvironment(1))
@@ -192,7 +143,6 @@ class TestBatchedScheduler:
             initials,
             daemons,
             step_listeners=[None, (stopper,), None],
-            record=True,
         )
         results = scheduler.run(30)
         assert results[1].stop_reason == "early-stop"

@@ -404,8 +404,13 @@ def _drive_batched(spec: ScenarioSpec, hypergraph: Hypergraph, algorithm,
     return scheduler.run(spec.max_steps), suites
 
 
-def _drive_lane_solo(spec: ScenarioSpec, algorithm, lane_seed: int) -> Scheduler:
-    """The solo ``dense`` oracle run with lane ``lane_seed``'s inputs."""
+def _drive_lane_solo(spec: ScenarioSpec, algorithm, lane_seed: int):
+    """The solo ``dense`` oracle run with lane ``lane_seed``'s inputs.
+
+    ``Scheduler.run`` is called once per fault-free stretch, so the returned
+    :class:`SchedulerResult` carries the solo run's own round count,
+    termination flag and stop reason.
+    """
     scheduler = Scheduler(
         algorithm,
         environment=AlwaysRequestingEnvironment(spec.discussion_steps),
@@ -421,19 +426,14 @@ def _drive_lane_solo(spec: ScenarioSpec, algorithm, lane_seed: int) -> Scheduler
         FaultInjector(algorithm, fraction=spec.burst_fraction, seed=lane_seed + 1)
         if spec.burst_every else None
     )
-    while scheduler.step_index < spec.max_steps:
-        if (
-            injector is not None
-            and scheduler.step_index
-            and scheduler.step_index % spec.burst_every == 0
-        ):
-            injector.corrupt_scheduler(scheduler)
-        try:
-            if scheduler.step() is None:
-                break
-        except StopRun:
-            break
-    return scheduler
+    while True:
+        bound = spec.max_steps
+        if injector is not None:
+            bound = min(bound, (scheduler.step_index // spec.burst_every + 1) * spec.burst_every)
+        result = scheduler.run(max_steps=bound)
+        if result.stop_reason != "max_steps" or scheduler.step_index >= spec.max_steps:
+            return scheduler, result
+        injector.corrupt_scheduler(scheduler)
 
 
 @requires_numpy
@@ -447,13 +447,19 @@ class TestBatchedDifferential:
         lanes, suites = _drive_batched(spec, hypergraph, algorithm, lane_seeds)
         for lane_seed, lane, suite in zip(lane_seeds, lanes, suites):
             context = (spec, lane_seed)
-            solo = _drive_lane_solo(spec, algorithm, lane_seed)
+            solo, result = _drive_lane_solo(spec, algorithm, lane_seed)
             # The execution itself: identical step records (selected sets,
             # executed action labels, enabled/neutralized sets, rounds,
             # writer-set deltas with epochs) and identical end states.
             assert tuple(solo.trace.steps) == tuple(lane.trace.steps), context
             assert solo.configuration == lane.configuration, context
             assert solo.step_index == lane.steps, context
+            # The run summary: the partial-round count, why the run ended
+            # and how many fault swaps it saw.
+            assert result.rounds == lane.rounds, context
+            assert result.terminated == lane.terminated, context
+            assert result.stop_reason == lane.stop_reason, context
+            assert solo.epoch == lane.epoch, context
             # The verdicts: the lane's streaming suite equals the dense
             # post-hoc checkers over the solo trace.
             _assert_verdicts_equal(

@@ -33,6 +33,9 @@ def _hooked():
     import repro.campaign.batched as batched
     import repro.campaign.driver as driver
     import repro.campaign.jobs as jobs
+    import repro.core.batched_program as batched_program
+    import repro.kernel.batched as batched_kernel
+    import repro.kernel.faults as faults
     import repro.kernel.scheduler as scheduler
 
     return [
@@ -45,9 +48,12 @@ def _hooked():
         (driver, "execute_job"),
         (jobs, "completed_row"),
         (batched, "_run_job"),
-        (batched, "completed_row"),
         (batched, "execute_job_group"),
         (scheduler.Scheduler, "step"),
+        (batched_kernel.BatchedScheduler, "run"),
+        (batched_program.BatchedProgram, "sweep"),
+        (batched_program.BatchedProgram, "fold"),
+        (faults.FaultInjector, "corrupt_scheduler"),
     ]
 
 
@@ -107,3 +113,32 @@ def test_traced_incremental_run_counts_guard_layer(monkeypatch):
     assert tracer.calls("kernel.guard") > 0
     assert tracer.count("kernel.guard.evals") > 0
     assert tracer.count("kernel.configuration.reads") > 0
+
+
+def test_traced_batched_campaign_keeps_rows_and_lane_spans(monkeypatch):
+    # One three-lane group of the batched engine: the lanes must run through
+    # the vectorized sweep and the shared step bookkeeping, and every row
+    # must come from the batched attempt, not the solo fallback.
+    tracing = _load_tracing(monkeypatch)
+    jobs = expand_jobs(
+        CampaignSpec(
+            scenarios=("figure1",),
+            algorithms=("cc2",),
+            engines=("batched",),
+            seeds=(1, 2, 3),
+            max_steps=30,
+        )
+    )
+    assert len(jobs) == 3
+    untraced = run_campaign(jobs, jobs=1).jsonl_lines()
+
+    tracer = tracing.Tracer()
+    with tracer:
+        traced = run_campaign(jobs, jobs=1).jsonl_lines()
+
+    assert traced == untraced
+    assert tracer.lanes == [3]
+    assert tracer.calls("kernel.batched.sweep") > 0
+    assert tracer.calls("kernel.scheduler.step") > 0
+    assert tracer.calls("campaign.jobs.completed_row") == 3
+    assert tracer.count("campaign.batched.fallback_runs") == 0
