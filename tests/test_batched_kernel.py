@@ -3,8 +3,8 @@
 The exhaustive lane-identity proof lives in the differential harness
 (``test_differential_harness.py`` batched axis); this file covers the
 engine's own contracts: the numpy guard and its message, compile-time
-coverage validation (``BatchedUnsupported``), terminal/stopped lanes dropping out of the lockstep, fault-injection epochs,
-and the campaign grouping rules.
+coverage validation (``BatchedUnsupported``), terminal/stopped lanes dropping out of the lockstep, fault-injection epochs
+and the sweep re-run after a fault swap, and the campaign grouping rules.
 """
 
 import json
@@ -171,6 +171,27 @@ class TestBatchedScheduler:
         # The epoch travels in the step deltas after each swap.
         deltas = [record.delta.epoch for record in results[0].trace.steps]
         assert max(deltas) == results[0].epoch
+
+    def test_fault_swap_drops_the_cached_sweep(self):
+        algorithm = _algorithm()
+        program = compile_program(algorithm, AlwaysRequestingEnvironment(1))
+        initials = [algorithm.initial_configuration() for _ in range(2)]
+        daemons = [default_daemon(seed=k) for k in range(2)]
+        injectors = [None, FaultInjector(algorithm, fraction=1.0, seed=2)]
+        scheduler = BatchedScheduler(
+            program, initials, daemons, injectors=injectors, fault_every=10
+        )
+        sweeps = []
+        sweep = program.sweep
+        program.sweep = lambda state: sweeps.append(state) or sweep(state)
+        lanes = scheduler.run(35)
+        assert [lane.steps for lane in lanes] == [35, 35]
+        # One initial sweep, one post-step sweep per step, and one re-sweep
+        # after each of the bursts at steps 10, 20 and 30.
+        assert len(sweeps) == 1 + 35 + 3
+        # The re-encoded rows track the lanes' configurations.
+        for lane in lanes:
+            assert program.decode_lane(scheduler.state, lane.lane) == lane.configuration
 
     def test_arbitrary_starts_encode_round_trip(self):
         algorithm = _algorithm(algorithm="cc3", token="ring")
