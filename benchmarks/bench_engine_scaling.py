@@ -5,7 +5,9 @@ reuse + dirty-set guard re-evaluation, see :mod:`repro.kernel.scheduler`)
 exists to make the step cost proportional to what changed rather than to
 ``n``.  This bench quantifies that: it runs ``CC2 ∘ TC`` on a path of
 committees at n ∈ {10, 50, 200} under the default weakly fair daemon with
-both engines and reports steps/sec plus the speedup.
+both engines and reports steps/sec plus the speedup.  Between steps the
+incremental engine re-scans ``environment_sensitive_processes`` (an O(n)
+status scan), so that cost is part of every incremental row.
 
 The batched lockstep engine (:mod:`repro.kernel.batched`) targets the
 *cross-run* axis instead: one vectorized guard sweep serves every lane of a
@@ -61,28 +63,15 @@ BATCH_STEPS = 150
 MIN_BATCHED_SPEEDUP = 5.0
 
 
-class _NoEnvIndexCC2(CC2Algorithm):
-    """CC2 with the environment-sensitivity status index disabled.
-
-    ``environment_sensitive_variables = None`` makes the incremental engine
-    fall back to a full ``environment_sensitive_processes`` status scan
-    between every two steps (the pre-index behaviour), so the bench can
-    quantify what the index buys.
-    """
-
-    environment_sensitive_variables = None
-
-
 def _build_scheduler(n: int, engine: str) -> Scheduler:
     hypergraph = path_of_committees(n - 1)
-    algorithm_cls = _NoEnvIndexCC2 if engine == "incremental-noindex" else CC2Algorithm
-    algorithm = algorithm_cls(hypergraph, TokenBinding(OracleTokenModule(hypergraph.vertices)))
+    algorithm = CC2Algorithm(hypergraph, TokenBinding(OracleTokenModule(hypergraph.vertices)))
     return Scheduler(
         algorithm,
         environment=AlwaysRequestingEnvironment(discussion_steps=1),
         daemon=default_daemon(seed=SEED),
         record_configurations=False,
-        engine="incremental" if engine == "incremental-noindex" else engine,
+        engine=engine,
     )
 
 
@@ -109,10 +98,7 @@ def run_scaling(perf_emit) -> Tuple[list, Dict[int, float]]:
     speedups: Dict[int, float] = {}
     for n in SIZES:
         rates = {}
-        # ``incremental-noindex`` isolates the environment-sensitivity status
-        # index: same engine, but the sensitive set is re-scanned from every
-        # status between steps instead of being maintained from the deltas.
-        for engine in ("dense", "incremental-noindex", "incremental"):
+        for engine in ("dense", "incremental"):
             rate, steps = _measure(n, engine)
             rates[engine] = rate
             perf_emit(
@@ -129,11 +115,7 @@ def run_scaling(perf_emit) -> Tuple[list, Dict[int, float]]:
             {
                 "n": n,
                 "dense steps/s": round(rates["dense"], 1),
-                "no-index steps/s": round(rates["incremental-noindex"], 1),
                 "incremental steps/s": round(rates["incremental"], 1),
-                "env-index gain": round(
-                    rates["incremental"] / rates["incremental-noindex"], 2
-                ),
                 "speedup": round(speedups[n], 2),
             }
         )

@@ -74,29 +74,15 @@ class CommitteeAlgorithmBase(DistributedAlgorithm):
     #: variables via ``TokenBinding.read_dependency_variables``.
     neighbour_guard_variables: Tuple[str, ...] = (STATUS, POINTER, TOKEN_FLAG)
 
-    def read_dependencies(self, pid: ProcessId) -> Tuple[ProcessId, ...]:
-        """Guards of ``pid`` read its ``G_H`` neighbourhood plus its token link.
-
-        Every CC-layer predicate (``Ready``, ``Meeting``, ``FreeEdges``,
-        ``TPointingEdges``, ...) scans members of committees incident to
-        ``pid`` — all of which lie in ``N(pid) ∪ {pid}`` — and the composed
-        ``Token(p)`` predicate additionally reads the token module's
-        variables of the module-declared link processes (the virtual-ring
-        predecessor for the Dijkstra substrates).  See
-        :meth:`read_dependency_variables` for the variable-granular form the
-        incremental engine actually consumes.
-        """
-        deps = {pid}
-        deps.update(self.hypergraph.neighbors(pid))
-        deps.update(self.token.read_dependencies(pid))
-        return tuple(sorted(deps))
-
     def read_dependency_variables(
         self, pid: ProcessId
     ) -> Dict[ProcessId, Optional[Tuple[str, ...]]]:
-        """Variable-granular dependencies: CC variables of neighbours + token link.
+        """Guards of ``pid`` read CC variables of neighbours + the token link.
 
-        Of a ``G_H`` neighbour the guards read only
+        Every CC-layer predicate (``Ready``, ``Meeting``, ``FreeEdges``,
+        ``TPointingEdges``, ...) scans members of committees incident to
+        ``pid`` — all of which lie in ``N(pid) ∪ {pid}``.  Of a ``G_H``
+        neighbour the guards read only
         :attr:`neighbour_guard_variables`; of the token-link processes only
         the module's prefixed variables (e.g. ``tc_c`` of the ring
         predecessor).  A neighbour updating its token-module counter
@@ -109,16 +95,6 @@ class CommitteeAlgorithmBase(DistributedAlgorithm):
             {q: self.neighbour_guard_variables for q in self.hypergraph.neighbors(pid)},
             self.token.read_dependency_variables(pid),
         )
-
-    #: Environment sensitivity is a pure function of the process's status, so
-    #: the incremental engine can keep the sensitive set current from ``S``
-    #: writes alone instead of re-scanning every status between steps.
-    environment_sensitive_variables: Tuple[str, ...] = (STATUS,)
-
-    def environment_sensitive(
-        self, pid: ProcessId, configuration: Configuration
-    ) -> bool:
-        return configuration.get(pid, STATUS) in self.environment_sensitive_statuses
 
     def environment_sensitive_processes(
         self, configuration: Configuration

@@ -101,14 +101,10 @@ class TokenBinding:
     # ------------------------------------------------------------------ #
     # dirty-set protocol (incremental scheduler engine)
     # ------------------------------------------------------------------ #
-    def read_dependencies(self, pid: ProcessId) -> Sequence[ProcessId]:
-        """Processes whose (prefixed) variables ``Token(pid)`` may read."""
-        return self.module.read_dependencies(pid)
-
     def read_dependency_variables(
         self, pid: ProcessId
     ) -> Dict[ProcessId, "Sequence[str] | None"]:
-        """Variable-granular form of :meth:`read_dependencies`, prefixed.
+        """Variables ``Token(pid)`` may read, prefixed.
 
         The module declares its dependencies in its own (un-prefixed)
         variable names; the binding maps them into the composed state's

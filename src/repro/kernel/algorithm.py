@@ -326,79 +326,26 @@ class DistributedAlgorithm(abc.ABC):
     # ------------------------------------------------------------------ #
     # dirty-set protocol (incremental scheduler engine)
     # ------------------------------------------------------------------ #
-    def read_dependencies(self, pid: ProcessId) -> Tuple[ProcessId, ...]:
-        """Processes whose *variables* the guards of ``pid`` may read.
-
-        This is the process-granular half of the dirty-set protocol: the
-        incremental scheduler engine re-evaluates the guards of ``pid`` after
-        a step only if some process in this set wrote a variable.  The
-        default is maximally conservative (every process), which makes the
-        incremental engine correct for any algorithm at the cost of
-        re-evaluating everything; algorithms with local guards (the committee
-        coordination layer reads its ``G_H`` neighbourhood plus its token
-        link, the ring modules read their ring predecessor) override this to
-        unlock the speed-up.  ``pid`` itself is always treated as a
-        dependency by the scheduler, whether or not it appears here.
-
-        For *variable*-granular invalidation — re-evaluate ``pid`` only when
-        specific variables of a source process change — override
-        :meth:`read_dependency_variables` instead; its default delegates to
-        this method.
-        """
-        return self.process_ids()
-
     def read_dependency_variables(
         self, pid: ProcessId
     ) -> Mapping[ProcessId, Optional[Tuple[str, ...]]]:
-        """Variable-granular read dependencies of the guards of ``pid``.
+        """Read dependencies of the guards of ``pid``: the dirty-set declaration.
 
         Returns a mapping ``source process -> variable names read`` where
-        ``None`` means "any variable of that source" (process-granular).  The
-        incremental scheduler engine inverts this map at construction: after
-        a step it re-evaluates ``pid`` iff some step writer wrote a variable
-        ``pid`` declares here (matching against the step's
-        :class:`~repro.kernel.trace.StepDelta`).  This is strictly finer than
-        :meth:`read_dependencies` — e.g. the committee coordination layer
-        reads only ``S``/``P``/``T``(/``L``) of its hypergraph neighbours,
-        so a neighbour updating its token-module counter no longer dirties
-        the whole neighbourhood, only the counter's ring successor.
-
-        The default delegates to :meth:`read_dependencies` with ``None``
-        variables (process granularity), so algorithms that only declare the
-        coarse form keep working unchanged.  ``pid`` itself is always treated
-        as a full dependency by the scheduler regardless of what this
-        returns.
+        ``None`` means "any variable of that source".  The incremental
+        scheduler engine inverts this map at construction: after a step it
+        re-evaluates ``pid`` iff some step writer wrote a variable ``pid``
+        declares here (matching against the step's
+        :class:`~repro.kernel.trace.StepDelta`).  The default is maximally
+        conservative (every process, any variable), which makes the
+        incremental engine correct for any algorithm at the cost of
+        re-evaluating everything; algorithms with local guards override it
+        — e.g. the committee coordination layer reads only ``S``/``P``/``T``
+        (/``L``) of its hypergraph neighbours plus the token module's counter
+        of its ring predecessor.  ``pid`` itself is always treated as a full
+        dependency by the scheduler regardless of what this returns.
         """
-        return {source: None for source in self.read_dependencies(pid)}
-
-    #: Variables of a process whose value determines whether that process is
-    #: environment-sensitive, or ``None`` when membership cannot be tracked
-    #: variable-wise.  When a tuple is declared, the incremental scheduler
-    #: engine maintains the environment-sensitive set *incrementally*: it
-    #: scans :meth:`environment_sensitive_processes` once (at construction
-    #: and after every external configuration swap) and thereafter updates
-    #: membership only for step writers that wrote one of these variables,
-    #: asking :meth:`environment_sensitive` — so the between-steps refresh
-    #: costs O(|sensitive|) instead of an O(n) status scan per step.  An
-    #: empty tuple means membership never changes with any write (algorithms
-    #: whose guards never consult the environment).  ``None`` (the default)
-    #: keeps the historical behaviour: a fresh
-    #: :meth:`environment_sensitive_processes` scan every step.
-    environment_sensitive_variables: Optional[Tuple[str, ...]] = None
-
-    def environment_sensitive(
-        self, pid: ProcessId, configuration: Configuration
-    ) -> bool:
-        """Is ``pid`` environment-sensitive in ``configuration``?
-
-        Consulted by the incremental engine's status index (see
-        :attr:`environment_sensitive_variables`) for processes that wrote one
-        of the declared variables.  Must agree pointwise with
-        :meth:`environment_sensitive_processes`; the default delegates to it
-        (correct but O(n) — algorithms that declare the variables override
-        this with an O(1) predicate, e.g. a status check).
-        """
-        return pid in self.environment_sensitive_processes(configuration)
+        return {source: None for source in self.process_ids()}
 
     def environment_sensitive_processes(
         self, configuration: Configuration
@@ -414,10 +361,6 @@ class DistributedAlgorithm(abc.ABC):
         sweep); algorithms whose guards never consult the environment return
         ``()``, and the committee coordination layer returns the processes
         whose status makes a request predicate relevant (``idle``/``done``).
-
-        This is the *full-scan* form; with
-        :attr:`environment_sensitive_variables` declared the engine calls it
-        only at construction and after external configuration swaps, and
-        keeps the set current from step deltas in between.
+        The engine scans it between every two steps.
         """
         return self.process_ids()

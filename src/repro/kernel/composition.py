@@ -16,9 +16,11 @@ circulation layer.  Two composition mechanisms are provided:
   core package because they need the token module's interface, not the
   generic mechanism here.
 
-:class:`FairComposition` is used to compose the self-stabilizing leader
-election with the tree token circulation (Section 4.1 suggests exactly this
-construction for obtaining ``TC``).
+:class:`FairComposition` is the generic mechanism; nothing in the library
+composes with it today.  The leader election ∘ token circulation
+construction that Section 4.1 suggests for obtaining ``TC`` is
+:class:`~repro.tokenring.composed.ComposedTokenCirculation`, which builds
+its fair composition on its own.
 """
 
 from __future__ import annotations

@@ -23,20 +23,22 @@ Two execution engines are available (``engine=`` parameter):
     evaluation side effects.
 ``"incremental"``
     The post-step enabled map of step ``k`` is cached and reused as the
-    pre-step map of step ``k+1``; after a step only the processes whose
-    declared read dependencies intersect the step's writer set are
-    re-evaluated — at **variable** granularity via
-    :meth:`~repro.kernel.algorithm.DistributedAlgorithm.read_dependency_variables`
-    (with
-    :meth:`~repro.kernel.algorithm.DistributedAlgorithm.read_dependencies`
-    as the process-granular fallback) — and between steps only the
-    :meth:`~repro.kernel.algorithm.DistributedAlgorithm.environment_sensitive_processes`
-    are refreshed (the environment advances in ``observe`` after the map was
-    cached).  When the algorithm declares
-    :attr:`~repro.kernel.algorithm.DistributedAlgorithm.environment_sensitive_variables`
-    that sensitive set is itself maintained incrementally from the step's
-    writer set (a *status index*), so the between-steps refresh no longer
-    pays an O(n) status scan per step.  Produces traces identical to the dense engine for any fixed
+    pre-step map of step ``k+1``.  The algorithm answers two questions, one
+    declaration each:
+
+    * *which writes can flip my guard?* —
+      :meth:`~repro.kernel.algorithm.DistributedAlgorithm.read_dependency_variables`
+      (per source process, the variables read, or ``None`` for any).  After
+      a step only the processes whose declared reads intersect the step's
+      writer set are re-evaluated.
+    * *which processes can the environment alone flip?* —
+      :meth:`~repro.kernel.algorithm.DistributedAlgorithm.environment_sensitive_processes`,
+      scanned between every two steps (the environment advances in
+      ``observe`` after the map was cached).  The scan is deliberately not
+      replaced by an index kept from the writer set: such an index beat it
+      in only 3 of 9 measured ``engine_scaling`` samples (n = 10/50/200).
+
+    Produces traces identical to the dense engine for any fixed
     seed, provided guard evaluation is side-effect free.  Environments that
     violate this declare ``deterministic_guards = False`` and are rejected
     by the incremental engine at construction time; every environment in
@@ -237,25 +239,10 @@ class Scheduler:
         # ``_current_enabled``) and the inverse dependency maps
         #   writer              -> processes reading *any* of its variables,
         #   (writer, variable)  -> processes reading exactly that variable,
-        # built from ``read_dependency_variables`` (whose default delegates
-        # to the process-granular ``read_dependencies``).
+        # built from ``read_dependency_variables``.
         self._enabled_cache: Optional[Dict[ProcessId, Any]] = None
-        self._proc_dependents: Optional[Dict[ProcessId, FrozenSet[ProcessId]]] = None
-        self._var_dependents: Optional[
-            Dict[Tuple[ProcessId, str], FrozenSet[ProcessId]]
-        ] = None
-        # Environment-sensitivity status index: when the algorithm declares
-        # ``environment_sensitive_variables``, the engine maintains the set of
-        # environment-sensitive processes incrementally (full scan only at
-        # construction and on external configuration swaps; O(|writers|)
-        # membership updates per step) instead of re-scanning every status
-        # between steps.
-        self._env_sensitive: Optional[Set[ProcessId]] = None
-        self._env_sensitive_vars = algorithm.environment_sensitive_variables
-        if engine == "incremental" and self._env_sensitive_vars is not None:
-            self._env_sensitive = set(
-                algorithm.environment_sensitive_processes(self.configuration)
-            )
+        self._proc_dependents: Dict[ProcessId, FrozenSet[ProcessId]] = {}
+        self._var_dependents: Dict[Tuple[ProcessId, str], FrozenSet[ProcessId]] = {}
         if engine == "incremental":
             proc: Dict[ProcessId, Set[ProcessId]] = {
                 pid: {pid} for pid in algorithm.process_ids()
@@ -287,25 +274,6 @@ class Scheduler:
     # ------------------------------------------------------------------ #
     # single step
     # ------------------------------------------------------------------ #
-    def enabled(self) -> Dict[ProcessId, Any]:
-        """``Enabled(γ)`` with each process's priority action."""
-        return dict(self._current_enabled())
-
-    def invalidate_enabled_cache(self) -> None:
-        """Drop the incremental engine's cached enabled map.
-
-        This only protects the engine's *own* cache.  Never use it as the
-        hook for an external configuration swap — route those through
-        :meth:`set_configuration`, which also bumps the configuration
-        :attr:`epoch` so delta-driven observers (streaming spec monitors,
-        metrics) resynchronize; replacing ``self.configuration`` directly
-        and calling only this method would leave them applying deltas
-        against a world they never saw.  Calling it on its own is only
-        appropriate after mutating the *environment* in a way that changes
-        guard outcomes between steps.
-        """
-        self._enabled_cache = None
-
     def set_configuration(self, configuration: Configuration) -> None:
         """Replace the current configuration from outside the step loop.
 
@@ -323,13 +291,7 @@ class Scheduler:
         """
         self.configuration = configuration
         self.epoch += 1
-        self.invalidate_enabled_cache()
-        if self._env_sensitive is not None:
-            # The swap may have flipped any status: rebuild the sensitivity
-            # index from a full scan (O(n), like the corruption itself).
-            self._env_sensitive = set(
-                self.algorithm.environment_sensitive_processes(configuration)
-            )
+        self._enabled_cache = None
 
     def _current_enabled(self) -> Dict[ProcessId, Any]:
         """The enabled map for the current configuration (cached if incremental)."""
@@ -344,16 +306,9 @@ class Scheduler:
         else:
             # The cache was computed before the environment observed the last
             # configuration; refresh the processes whose guards may have
-            # flipped with the environment alone.  The status index (when the
-            # algorithm declares ``environment_sensitive_variables``) makes
-            # this O(|sensitive|) instead of an O(n) status scan.
+            # flipped with the environment alone.
             cache = self._enabled_cache
-            sensitive: Any = (
-                self._env_sensitive
-                if self._env_sensitive is not None
-                else self.algorithm.environment_sensitive_processes(self.configuration)
-            )
-            for pid in sensitive:
+            for pid in self.algorithm.environment_sensitive_processes(self.configuration):
                 action = self.algorithm.enabled_action(
                     pid, self.configuration, self.environment, self._actions[pid]
                 )
@@ -379,14 +334,14 @@ class Scheduler:
         else neither the variables their guards read nor the environment
         changed, so their enabledness is unchanged by construction.
         """
-        if self.engine == "dense" or self._proc_dependents is None:
+        if self.engine == "dense":
             return self.algorithm.enabled_processes(
                 new_configuration, self.environment, self._actions
             )
         after = dict(enabled_map)
         dirty: Set[ProcessId] = set()
         proc_dependents = self._proc_dependents
-        var_dependents = self._var_dependents or {}
+        var_dependents = self._var_dependents
         for writer, written in writers.items():
             if not written:  # executed but wrote nothing: γ' is unchanged for its dependents
                 continue
@@ -415,20 +370,6 @@ class Scheduler:
             self, enabled_ids, enabled_map, self.configuration, self.environment
         )
         new_configuration = self.configuration.updated(writes)
-
-        if self._env_sensitive is not None and self._env_sensitive_vars:
-            # Status-index maintenance: a process's environment sensitivity
-            # can only flip when it writes one of the declared variables
-            # (statements write own variables only; external swaps rebuild
-            # the index in ``set_configuration``).
-            env_vars = self._env_sensitive_vars
-            sensitive_set = self._env_sensitive
-            for pid, written in writes.items():
-                if written and any(v in written for v in env_vars):
-                    if self.algorithm.environment_sensitive(pid, new_configuration):
-                        sensitive_set.add(pid)
-                    else:
-                        sensitive_set.discard(pid)
 
         enabled_after_map = self._enabled_after_step(enabled_map, writes, new_configuration)
         record = commit_step(

@@ -112,16 +112,10 @@ class ComposedTokenCirculation(DistributedAlgorithm):
         return tuple([token_action] + election_actions)
 
     # -- dirty-set protocol (incremental scheduler engine) ---------------- #
-    def read_dependencies(self, pid: ProcessId) -> Tuple[ProcessId, ...]:
-        """``T`` reads the ring predecessor's counter; ``Elect`` reads ``G_H`` neighbours."""
-        deps = {pid, self._pred[pid]}
-        deps.update(self.hypergraph.neighbors(pid))
-        return tuple(sorted(deps))
-
     def read_dependency_variables(
         self, pid: ProcessId
     ) -> Dict[ProcessId, Optional[Tuple[str, ...]]]:
-        """Per variable: ``T`` reads ``c`` of the ring predecessor (plus its own
+        """``T`` reads ``c`` of the ring predecessor (plus its own
         leader belief to decide root-vs-non-root); ``Elect`` reads the claims
         ``(lid, d)`` of the ``G_H`` neighbours.  A neighbour passing the token
         therefore no longer re-evaluates ``pid``'s election guard unless it is
@@ -130,12 +124,6 @@ class ComposedTokenCirculation(DistributedAlgorithm):
             {pid: None, self._pred[pid]: (COUNTER,)},
             {q: (LEADER, DISTANCE) for q in self.hypergraph.neighbors(pid)},
         )
-
-    #: No guard consults the environment, so membership never changes.
-    environment_sensitive_variables: Tuple[str, ...] = ()
-
-    def environment_sensitive(self, pid, configuration) -> bool:
-        return False
 
     def environment_sensitive_processes(self, configuration) -> Tuple[ProcessId, ...]:
         return ()  # neither guard consults the environment

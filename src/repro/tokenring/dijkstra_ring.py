@@ -140,10 +140,6 @@ class DijkstraRingToken(TokenModule):
             pred_value = read(self._pred[pid], COUNTER)
             ctx.write(COUNTER, 0 if pred_value is None else pred_value)
 
-    def read_dependencies(self, pid: ProcessId) -> Tuple[ProcessId, ...]:
-        """``Token(p)`` reads only ``p``'s counter and its ring predecessor's."""
-        return (pid, self._pred[pid])
-
     def read_dependency_variables(
         self, pid: ProcessId
     ) -> Dict[ProcessId, Optional[Tuple[str, ...]]]:
@@ -190,19 +186,10 @@ class DijkstraRingAlgorithm(DistributedAlgorithm):
         return (Action(label="T", guard=guard, statement=statement),)
 
     # -- dirty-set protocol (incremental scheduler engine) ---------------- #
-    def read_dependencies(self, pid: ProcessId) -> Tuple[ProcessId, ...]:
-        return self.module.read_dependencies(pid)
-
     def read_dependency_variables(
         self, pid: ProcessId
     ) -> Dict[ProcessId, Optional[Tuple[str, ...]]]:
         return self.module.read_dependency_variables(pid)
-
-    #: No guard consults the environment, so membership never changes.
-    environment_sensitive_variables: Tuple[str, ...] = ()
-
-    def environment_sensitive(self, pid, configuration) -> bool:
-        return False
 
     def environment_sensitive_processes(self, configuration) -> Tuple[ProcessId, ...]:
         return ()  # the ``T`` guard never consults the environment

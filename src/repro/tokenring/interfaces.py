@@ -60,28 +60,19 @@ class TokenModule(abc.ABC):
         """Stabilization actions other than ``T`` (default: none)."""
         return ()
 
-    def read_dependencies(self, pid: ProcessId) -> Tuple[ProcessId, ...]:
-        """Processes whose module variables ``Token(pid)`` (and the guards of
-        any maintenance actions of ``pid``) may read.
-
-        Consumed by the incremental scheduler engine via the composition.
-        The default is conservative (every process); the ring modules read
-        only the ring predecessor and override accordingly.
-        """
-        return self.process_ids()
-
     def read_dependency_variables(
         self, pid: ProcessId
     ) -> Dict[ProcessId, Optional[Tuple[str, ...]]]:
-        """Variable-granular read dependencies, in *un-prefixed* module names.
+        """Variables ``Token(pid)`` (and the guards of any maintenance actions
+        of ``pid``) may read, in *un-prefixed* module names.
 
         ``source -> variable names`` with ``None`` meaning "any module
         variable of that source"; the composition prefixes the names before
-        handing them to the scheduler.  The default delegates to
-        :meth:`read_dependencies` at process granularity; the ring modules
+        handing them to the incremental scheduler engine.  The default is
+        conservative (every process, any variable); the ring modules
         override this to declare exactly the counter of the ring predecessor.
         """
-        return {source: None for source in self.read_dependencies(pid)}
+        return {source: None for source in self.process_ids()}
 
     # ------------------------------------------------------------------ #
     # diagnostics shared by implementations

@@ -49,10 +49,12 @@ class EnvironmentBlind(DistributedAlgorithm):  # expect: RL203
     """Consults the environment but declares it can never matter."""
 
     neighbour_guard_variables = (STATUS,)
-    environment_sensitive_variables = ()
 
     def initial_state(self, pid):
         return {STATUS: "idle"}
+
+    def environment_sensitive_processes(self, configuration):
+        return ()
 
     def guard(self, ctx):
         return ctx.request_in() and ctx.own(STATUS) == "idle"

@@ -12,10 +12,12 @@ TOKEN_FLAG = "T"
 
 class Conformant(DistributedAlgorithm):
     neighbour_guard_variables = (STATUS, POINTER, TOKEN_FLAG)
-    environment_sensitive_variables = (STATUS,)
 
     def initial_state(self, pid):
         return {STATUS: "idle", POINTER: None, TOKEN_FLAG: False}
+
+    def environment_sensitive_processes(self, configuration):
+        return tuple(p for p in configuration if configuration.get(p, STATUS) == "idle")
 
     def guard(self, ctx, pid, neighbours):
         if not ctx.request_in():

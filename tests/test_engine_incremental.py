@@ -5,6 +5,9 @@ Covers
 * dense-vs-incremental equivalence: same seed ⇒ identical step records and
   final configuration for cc1/cc2/cc3 × tree/ring/oracle (clean and
   arbitrary starts), and identical summary metrics on sparse runs;
+* the same equivalence for each algorithm's own dirty-set declarations:
+  the Dijkstra ring, the leader election, their composition, and an
+  algorithm on the kernel defaults, from seeded arbitrary starts;
 * copy-on-write ``Configuration.updated``;
 * ``Scheduler.run`` evaluating ``stop_predicate`` on idle ticks;
 * ``waiting_spells`` rejecting sparse traces and counting the spell that
@@ -31,10 +34,16 @@ from repro.kernel.daemon import (
     Daemon,
     SynchronousDaemon,
     WeaklyFairDaemon,
+    default_daemon,
 )
+from repro.kernel.faults import arbitrary_configuration
 from repro.kernel.scheduler import Scheduler
 from repro.kernel.trace import Trace, StepRecord
 from repro.metrics.waiting_time import WaitingSpellTracker, waiting_spells
+from repro.tokenring.composed import ComposedTokenCirculation
+from repro.tokenring.dijkstra_ring import DijkstraRingAlgorithm, DijkstraRingToken
+from repro.tokenring.leader_election import SelfStabilizingLeaderElection
+from tests.test_kernel_scheduler import CopyNeighbourAlgorithm
 
 
 # --------------------------------------------------------------------------- #
@@ -42,78 +51,6 @@ from repro.metrics.waiting_time import WaitingSpellTracker, waiting_spells
 # --------------------------------------------------------------------------- #
 ALGORITHMS = ("cc1", "cc2", "cc3")
 TOKENS = ("tree", "ring", "oracle")
-
-
-class TestEnvironmentSensitiveIndex:
-    """The status index must be invisible: traces identical with and without.
-
-    ``environment_sensitive_variables = None`` restores the per-step
-    ``environment_sensitive_processes`` scan; the maintained index must make
-    exactly the same refresh decisions, including across status flips driven
-    by stateful environments and across mid-run corruption (which rebuilds
-    the index via ``set_configuration``).
-    """
-
-    @staticmethod
-    def _run_pair(environment_factory, algorithm="cc2", steps=250, corrupt_every=0):
-        from repro.core.cc2 import CC2Algorithm
-        from repro.kernel.faults import FaultInjector
-
-        results = []
-        for disable_index in (False, True):
-            hypergraph = figure1_hypergraph()
-            coordinator = CommitteeCoordinator(
-                hypergraph, algorithm=algorithm, seed=5, engine="incremental"
-            )
-            algo = coordinator.algorithm
-            if disable_index:
-                # Per-instance override: the scheduler reads the attribute at
-                # construction, so this disables the index for this run only.
-                algo.environment_sensitive_variables = None
-            scheduler = Scheduler(
-                algo,
-                environment=environment_factory(),
-                daemon=WeaklyFairDaemon(SynchronousDaemon()),
-                record_configurations=True,
-                engine="incremental",
-            )
-            injector = FaultInjector(algo, fraction=0.5, seed=7) if corrupt_every else None
-            while scheduler.step_index < steps:
-                if (
-                    injector is not None
-                    and scheduler.step_index
-                    and scheduler.step_index % corrupt_every == 0
-                ):
-                    injector.corrupt_scheduler(scheduler)
-                if scheduler.step() is None:
-                    break
-            results.append(scheduler)
-        return results
-
-    def test_identical_with_always_requesting(self):
-        from repro.workloads.request_models import AlwaysRequestingEnvironment
-
-        with_index, without_index = self._run_pair(lambda: AlwaysRequestingEnvironment(2))
-        assert tuple(with_index.trace.steps) == tuple(without_index.trace.steps)
-        assert with_index.configuration == without_index.configuration
-
-    def test_identical_with_probabilistic_requests(self):
-        from repro.workloads.request_models import ProbabilisticRequestEnvironment
-
-        with_index, without_index = self._run_pair(
-            lambda: ProbabilisticRequestEnvironment(0.5, seed=3), algorithm="cc1"
-        )
-        assert tuple(with_index.trace.steps) == tuple(without_index.trace.steps)
-        assert with_index.configuration == without_index.configuration
-
-    def test_identical_across_mid_run_corruption(self):
-        from repro.workloads.request_models import AlwaysRequestingEnvironment
-
-        with_index, without_index = self._run_pair(
-            lambda: AlwaysRequestingEnvironment(1), corrupt_every=23
-        )
-        assert tuple(with_index.trace.steps) == tuple(without_index.trace.steps)
-        assert with_index.configuration == without_index.configuration
 
 
 def _run(algorithm: str, token: str, engine: str, **kwargs):
@@ -184,7 +121,12 @@ class TestEngineEquivalence:
 
         assert Scheduler(_CountUp(2, 2), environment=_SideEffecting()).engine == "dense"
 
-    def test_probabilistic_environment_memoises_outside_guards(self):
+    @pytest.mark.parametrize(
+        "daemon_factory",
+        (lambda: "weakly_fair", lambda: WeaklyFairDaemon(SynchronousDaemon())),
+        ids=("weakly_fair", "weakly_fair_synchronous"),
+    )
+    def test_probabilistic_environment_memoises_outside_guards(self, daemon_factory):
         # The memoised ProbabilisticRequestEnvironment draws in observe(),
         # outside guard evaluation: it now declares deterministic_guards and
         # produces identical traces on both engines for a fixed seed.
@@ -194,7 +136,8 @@ class TestEngineEquivalence:
 
         def run(engine: str):
             coordinator = CommitteeCoordinator(
-                figure1_hypergraph(), algorithm="cc1", seed=5, engine=engine
+                figure1_hypergraph(), algorithm="cc1", seed=5, engine=engine,
+                daemon=daemon_factory(),
             )
             return coordinator.run(
                 max_steps=300,
@@ -208,6 +151,44 @@ class TestEngineEquivalence:
         assert tuple(dense.trace.steps) == tuple(incremental.trace.steps)
         assert dense.final == incremental.final
         assert dense.metrics == incremental.metrics
+
+
+class TestDeclaredDependencyParity:
+    """Each algorithm's own dirty-set declarations keep the engines in step.
+
+    ``read_dependency_variables`` and ``environment_sensitive_processes`` are
+    the only inputs the incremental engine takes from an algorithm; a
+    declaration that misses a read makes it skip a guard the dense engine
+    re-evaluates.  ``CopyNeighbourAlgorithm`` declares nothing (the kernel
+    defaults).
+    """
+
+    @pytest.mark.parametrize(
+        "build",
+        (
+            CopyNeighbourAlgorithm,
+            lambda: DijkstraRingAlgorithm(DijkstraRingToken(range(1, 8))),
+            lambda: SelfStabilizingLeaderElection(figure1_hypergraph()),
+            lambda: ComposedTokenCirculation(figure1_hypergraph()),
+        ),
+        ids=("kernel-defaults", "dijkstra-ring", "leader-election", "composed-token"),
+    )
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_dense_and_incremental_agree_from_arbitrary_start(self, build, seed):
+        algorithm = build()
+        initial = arbitrary_configuration(algorithm, seed=seed)
+        dense, incremental = (
+            Scheduler(
+                algorithm,
+                daemon=default_daemon(seed=seed),
+                initial_configuration=initial,
+                engine=engine,
+            ).run(max_steps=300)
+            for engine in ("dense", "incremental")
+        )
+        assert dense.steps > 0
+        assert tuple(dense.trace.steps) == tuple(incremental.trace.steps)
+        assert dense.final == incremental.final
 
 
 # --------------------------------------------------------------------------- #

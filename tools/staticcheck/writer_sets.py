@@ -10,9 +10,9 @@ The incremental engine's correctness contract (docs/ARCHITECTURE.md) is:
   committee layer, the tuples inside ``read_dependency_variables`` for the
   token modules), so a write to it actually re-evaluates the reader;
 * a class whose guards consult the environment (``ctx.request_in()`` /
-  ``ctx.request_out()``) must not declare
-  ``environment_sensitive_variables = ()`` (which tells the engine that
-  enabledness never changes between steps without a write).
+  ``ctx.request_out()``) must not have an ``environment_sensitive_processes``
+  that returns ``()`` (which tells the engine that enabledness never changes
+  between steps without a write).
 
 Until now these contracts were only caught *probabilistically*, by the seeded
 fuzz differential tests; this pass checks them at lint time, per class, for
@@ -23,8 +23,8 @@ RL201     a statement writes a variable that is not part of the class's
           statically-resolvable state layout (undeclared writer variable)
 RL202     a guard-evaluable method reads a variable of *another* process
           that the class's read-dependency declaration does not cover
-RL203     guards consult the environment but the class declares
-          ``environment_sensitive_variables = ()``
+RL203     guards consult the environment but the nearest
+          ``environment_sensitive_processes`` along the lineage returns ``()``
 RL204     a write's variable name is dynamic (not statically resolvable)
           inside an algorithm class — the conformance of that write cannot
           be verified; prefer a named constant
@@ -63,7 +63,7 @@ DECLARATION_METHODS = ("read_dependency_variables",)
 CODES: Dict[str, str] = {
     "RL201": "statement writes an undeclared state variable",
     "RL202": "guard reads an undeclared variable of another process",
-    "RL203": "guards consult the environment but environment_sensitive_variables is ()",
+    "RL203": "guards consult the environment but environment_sensitive_processes returns ()",
     "RL204": "dynamic write target cannot be checked against the writer-set protocol",
 }
 
@@ -226,23 +226,27 @@ class WriterSetConformancePass:
                 elif kind == "environment":
                     uses_environment = True
 
-        if uses_environment:
-            attr = project.resolve_class_attr(source, cls, "environment_sensitive_variables")
-            if attr is not None:
-                attr_source, attr_value = attr
-                resolved = project.resolve_str_tuple(attr_source, attr_value)
-                if resolved == ():
-                    diagnostics.append(
-                        Diagnostic(
-                            source.rel,
-                            cls.lineno,
-                            "RL203",
-                            f"{cls.name} guards call request_in()/request_out() but the class "
-                            "declares environment_sensitive_variables = () — the incremental "
-                            "engine would never refresh its enabledness between steps",
-                        )
-                    )
+        definitions = project.class_methods(source, cls, "environment_sensitive_processes")
+        if uses_environment and definitions and self._returns_empty_tuple(definitions[0][1]):
+            diagnostics.append(
+                Diagnostic(
+                    source.rel,
+                    cls.lineno,
+                    "RL203",
+                    f"{cls.name} guards call request_in()/request_out() but its "
+                    "environment_sensitive_processes returns () — the incremental "
+                    "engine would never refresh its enabledness between steps",
+                )
+            )
         return diagnostics
+
+    @staticmethod
+    def _returns_empty_tuple(method: ast.FunctionDef) -> bool:
+        """Every ``return`` of ``method`` (and there is one) is the literal ``()``."""
+        returns = [node for node in ast.walk(method) if isinstance(node, ast.Return)]
+        return bool(returns) and all(
+            isinstance(node.value, ast.Tuple) and not node.value.elts for node in returns
+        )
 
     @staticmethod
     def _call_kind(node: ast.Call) -> Optional[str]:
